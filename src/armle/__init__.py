@@ -10,7 +10,6 @@ Carlo harness that checks the asymptotic behavior of all of these.
 """
 from .ar import (
     STABILITY_MARGIN,
-    StabilityResult,
     apply_ar,
     as_theta,
     characteristic_roots,
@@ -20,13 +19,11 @@ from .ar import (
     is_stable,
     require_stable,
     simulate_series,
-    stability,
 )
 from .exceptions import (
     ArmleError,
     DimensionMismatch,
     NotPositiveDefinite,
-    RootSolverNoConverge,
     SingularGram,
     TooShort,
     Unstable,
@@ -36,37 +33,23 @@ from .experiments import (
     ExperimentConfig,
     ExperimentReport,
     aggregate,
-    run_clt,
-    run_consistency,
     run_experiment,
-    run_lan_remainder,
-    run_lil,
-    run_qsl,
-    run_test_power,
-    run_test_size,
 )
 from .filtering import (
     VARIANCE_FLOOR,
-    FilterState,
-    advance,
     kernel_rows,
     pacf_and_variances,
-    whiten,
 )
 from .inference import (
     GRAM_CONDITION_CAP,
     ConfidenceEllipsoid,
     EstimationResult,
     TestResult,
-    chi2_cdf,
-    chi2_quantile,
-    chi2_sf,
     confidence_ellipsoid,
     lan_decomposition,
     lr_statistic,
     lr_test,
     mle,
-    noncentral_chi2_sf,
 )
 from .noise import (
     CovarianceKernel,
@@ -93,7 +76,6 @@ from .state import (
     innovations,
     log_likelihood,
     score_weights,
-    transition,
     write_state_csv,
 )
 
@@ -108,31 +90,24 @@ __all__ = [
     "EXPERIMENTS",
     "ExperimentConfig",
     "ExperimentReport",
-    "FilterState",
     "FilteredPath",
     "GRAM_CONDITION_CAP",
     "NoisePath",
     "NotPositiveDefinite",
-    "RootSolverNoConverge",
     "STABILITY_MARGIN",
     "ScoreAccumulator",
     "SingularGram",
-    "StabilityResult",
     "TestResult",
     "TooShort",
     "Unstable",
     "VARIANCE_FLOOR",
     "ValidationReport",
     "accumulate",
-    "advance",
     "aggregate",
     "apply_ar",
     "ar1",
     "as_theta",
     "characteristic_roots",
-    "chi2_cdf",
-    "chi2_quantile",
-    "chi2_sf",
     "companion",
     "confidence_ellipsoid",
     "covariance",
@@ -152,27 +127,16 @@ __all__ = [
     "lr_test",
     "mle",
     "noise_from_innovations",
-    "noncentral_chi2_sf",
     "pacf_and_variances",
     "require_stable",
-    "run_clt",
-    "run_consistency",
     "run_experiment",
-    "run_lan_remainder",
-    "run_lil",
-    "run_qsl",
-    "run_test_power",
-    "run_test_size",
     "sample_noise",
     "score_weights",
     "simulate_series",
-    "stability",
     "standard_normals",
     "substream",
-    "transition",
     "validate_kernel",
     "white",
-    "whiten",
     "write_noise_csv",
     "write_state_csv",
 ]

@@ -8,22 +8,16 @@ lie inside the open unit disk.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 import scipy.signal
 
-from .exceptions import RootSolverNoConverge, Unstable
+from .exceptions import Unstable
 from .noise import CovarianceKernel
 
 #: Stability margin: a parameter is accepted when every root modulus is below
 #: 1 - STABILITY_MARGIN.
 STABILITY_MARGIN = 1e-9
-
-_ROOT_TOL = 1e-12
-_ROOT_MAX_ITER = 200
 
 
 def as_theta(theta) -> np.ndarray:
@@ -46,66 +40,27 @@ def companion(theta) -> np.ndarray:
     return a
 
 
-def _durand_kerner(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of a monic polynomial by simultaneous (Weierstrass) iteration.
-
-    ``coeffs`` are monic coefficients in decreasing degree order. Starting
-    points sit on a ring of radius given by the Cauchy bound, rotated off the
-    real axis to avoid symmetric stalls.
-    """
-    d = coeffs.size - 1
-    if d == 0:
-        return np.empty(0, dtype=complex)
-    radius = 1.0 + float(np.max(np.abs(coeffs[1:])))
-    angles = 2.0 * np.pi * np.arange(d) / d + 0.5
-    z = 0.7 * radius * np.exp(1j * angles)
-    for _ in range(_ROOT_MAX_ITER):
-        pv = np.polyval(coeffs, z)
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        dz = pv / diff.prod(axis=1)
-        z = z - dz
-        scale = max(1.0, float(np.max(np.abs(z))))
-        if np.all(np.isfinite(dz)) and float(np.max(np.abs(dz))) <= _ROOT_TOL * scale:
-            return z
-    raise RootSolverNoConverge(
-        f"root iteration did not converge within {_ROOT_MAX_ITER} steps"
-    )
-
-
 def characteristic_roots(theta) -> np.ndarray:
-    """Roots of z**p - theta_1 z**(p-1) - ... - theta_p."""
-    th = as_theta(theta)
-    coeffs = np.concatenate(([1.0], -th)).astype(complex)
-    return _durand_kerner(coeffs)
+    """Roots of z**p - theta_1 z**(p-1) - ... - theta_p: the eigenvalues of A."""
+    return np.linalg.eigvals(companion(theta))
 
 
-@dataclass(frozen=True, eq=False)
-class StabilityResult:
-    """Outcome of a stability check; moduli are sorted in decreasing order."""
-
-    stable: bool
-    root_moduli: np.ndarray
-
-
-def stability(theta) -> StabilityResult:
-    moduli = np.sort(np.abs(characteristic_roots(theta)))[::-1]
-    stable = bool(moduli.size == 0 or moduli[0] < 1.0 - STABILITY_MARGIN)
-    return StabilityResult(stable=stable, root_moduli=moduli)
+def _max_modulus(theta) -> float:
+    return float(np.max(np.abs(characteristic_roots(theta))))
 
 
 def is_stable(theta) -> bool:
     """True iff every characteristic root has modulus below 1 - margin."""
-    return stability(theta).stable
+    return _max_modulus(theta) < 1.0 - STABILITY_MARGIN
 
 
 def require_stable(theta) -> np.ndarray:
     th = as_theta(theta)
-    res = stability(th)
-    if not res.stable:
+    modulus = _max_modulus(th)
+    if not modulus < 1.0 - STABILITY_MARGIN:
         raise Unstable(
             f"theta={np.array2string(th, precision=6)} has root modulus "
-            f"{res.root_moduli[0]:.6f} >= 1 - {STABILITY_MARGIN:g}"
+            f"{modulus:.6f} >= 1 - {STABILITY_MARGIN:g}"
         )
     return th
 

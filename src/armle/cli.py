@@ -25,7 +25,6 @@ from .ar import simulate_series
 from .exceptions import (
     DimensionMismatch,
     NotPositiveDefinite,
-    RootSolverNoConverge,
     SingularGram,
     TooShort,
     Unstable,
@@ -36,7 +35,7 @@ from .inference import lan_decomposition, lr_test, mle
 from .noise import kernel_from_json, validate_kernel
 from .state import filter_observations, log_likelihood
 
-_DEGENERATE = (NotPositiveDefinite, SingularGram, Unstable, RootSolverNoConverge)
+_DEGENERATE = (NotPositiveDefinite, SingularGram, Unstable)
 _DATA = (DimensionMismatch, TooShort)
 
 

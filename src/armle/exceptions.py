@@ -27,10 +27,6 @@ class Unstable(ArmleError):
     """An AR parameter vector violates the stability condition."""
 
 
-class RootSolverNoConverge(ArmleError):
-    """The simultaneous root iteration failed to converge within its cap."""
-
-
 class SingularGram(ArmleError):
     """The accumulated Gram matrix is singular or too ill conditioned to invert."""
 

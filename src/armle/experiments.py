@@ -35,7 +35,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from typing import Callable
@@ -43,12 +43,13 @@ from typing import Callable
 import numpy as np
 import scipy.signal
 import scipy.stats
+from scipy.special import chdtri
 
 from . import rng
 from .ar import apply_ar, fisher_info, fisher_info_inverse, require_stable
 from .exceptions import Unstable
 from .filtering import _stream
-from .inference import GRAM_CONDITION_CAP, chi2_quantile, noncentral_chi2_sf
+from .inference import _solve_gram
 from .noise import CovarianceKernel, kernel_from_json, validate_kernel
 
 EXPERIMENTS = (
@@ -312,21 +313,6 @@ def _cumulative_stats(w, z1, sigma2):
     return cum_gram, cum_mom
 
 
-def _estimates_at(cum_gram, cum_mom, idx):
-    """Batched normal-equation solves at the selected indices with validity mask."""
-    g = cum_gram[idx]
-    m = cum_mom[idx]
-    evals = np.linalg.eigvalsh(g)
-    lo, hi = evals[:, 0], evals[:, -1]
-    ok = np.isfinite(lo) & np.isfinite(hi) & (lo > 0.0)
-    safe_lo = np.where(ok, lo, 1.0)
-    ok &= (hi / safe_lo) <= GRAM_CONDITION_CAP
-    theta = np.full(m.shape, np.nan)
-    if ok.any():
-        theta[ok] = np.linalg.solve(g[ok], m[ok][:, :, None])[:, :, 0]
-    return theta, ok
-
-
 def _simulate_cumulants(cfg: ExperimentConfig, rep: int, theta_sim=None):
     theta_sim = np.array(cfg.theta) if theta_sim is None else np.asarray(theta_sim)
     n_max = max(cfg.sample_sizes)
@@ -344,7 +330,7 @@ def _rows_consistency(cfg: ExperimentConfig, rep: int) -> list[dict]:
     th = np.array(cfg.theta)
     cum_gram, cum_mom = _simulate_cumulants(cfg, rep)
     idx = np.array(cfg.sample_sizes) - 1
-    that, ok = _estimates_at(cum_gram, cum_mom, idx)
+    that, _, ok = _solve_gram(cum_gram[idx], cum_mom[idx])
     rows = []
     for c, n in enumerate(cfg.sample_sizes):
         row = {"replicate": rep, "n": int(n), "ok": int(ok[c]), "err": None}
@@ -362,7 +348,7 @@ def _rows_clt(cfg: ExperimentConfig, rep: int) -> list[dict]:
     th = np.array(cfg.theta)
     cum_gram, cum_mom = _simulate_cumulants(cfg, rep)
     idx = np.array(cfg.sample_sizes) - 1
-    that, ok = _estimates_at(cum_gram, cum_mom, idx)
+    that, _, ok = _solve_gram(cum_gram[idx], cum_mom[idx])
     rows = []
     for c, n in enumerate(cfg.sample_sizes):
         row = {"replicate": rep, "n": int(n), "ok": int(ok[c])}
@@ -376,10 +362,10 @@ def _rows_clt(cfg: ExperimentConfig, rep: int) -> list[dict]:
 
 def _rows_test_size(cfg: ExperimentConfig, rep: int) -> list[dict]:
     th0 = np.array(cfg.theta)
-    crit = chi2_quantile(cfg.p, cfg.alpha)
+    crit = float(chdtri(cfg.p, cfg.alpha))
     cum_gram, cum_mom = _simulate_cumulants(cfg, rep)
     idx = np.array(cfg.sample_sizes) - 1
-    that, ok = _estimates_at(cum_gram, cum_mom, idx)
+    that, _, ok = _solve_gram(cum_gram[idx], cum_mom[idx])
     rows = []
     for c, n in enumerate(cfg.sample_sizes):
         row = {
@@ -401,14 +387,14 @@ def _rows_test_size(cfg: ExperimentConfig, rep: int) -> list[dict]:
 def _rows_test_power(cfg: ExperimentConfig, rep: int) -> list[dict]:
     th0 = np.array(cfg.theta)
     u = np.array(cfg.shift)
-    crit = chi2_quantile(cfg.p, cfg.alpha)
+    crit = float(chdtri(cfg.p, cfg.alpha))
     rows = []
     for c, n in enumerate(cfg.sample_sizes):
         theta_sim = th0 + u / math.sqrt(n)
         eps = rng.standard_normals(rng.substream(cfg.seed, c, rep), n)
         w, z1, sigma2 = _score_arrays(theta_sim, cfg.kernel, eps)
         cum_gram, cum_mom = _cumulative_stats(w, z1, sigma2)
-        that, ok = _estimates_at(cum_gram, cum_mom, np.array([n - 1]))
+        that, _, ok = _solve_gram(cum_gram[-1:], cum_mom[-1:])
         row = {
             "replicate": rep,
             "n": int(n),
@@ -440,9 +426,8 @@ def _rows_lan_remainder(cfg: ExperimentConfig, rep: int) -> list[dict]:
 
 def _rows_qsl(cfg: ExperimentConfig, rep: int) -> list[dict]:
     th = np.array(cfg.theta)
-    n_max = max(cfg.sample_sizes)
     cum_gram, cum_mom = _simulate_cumulants(cfg, rep)
-    that, ok = _estimates_at(cum_gram, cum_mom, np.arange(n_max))
+    that, _, ok = _solve_gram(cum_gram, cum_mom)
     if not ok.any():
         return [
             {"replicate": rep, "n": int(n), "ok": 0, "trace_ratio": None, "k0": None}
@@ -473,7 +458,7 @@ def _rows_lil(cfg: ExperimentConfig, rep: int) -> list[dict]:
     n_max = max(cfg.sample_sizes)
     n_min = min(cfg.sample_sizes)
     cum_gram, cum_mom = _simulate_cumulants(cfg, rep)
-    that, ok = _estimates_at(cum_gram, cum_mom, np.arange(n_max))
+    that, _, ok = _solve_gram(cum_gram, cum_mom)
     ks = np.arange(1, n_max + 1)
     valid = ok & (ks >= max(16, n_min))
     proj = np.where(ok, (that - th) @ v, 0.0)
@@ -674,7 +659,7 @@ def _agg_lan_remainder(cfg, by_n):
 
 
 def _agg_test(cfg, by_n):
-    crit = chi2_quantile(cfg.p, cfg.alpha)
+    crit = float(chdtri(cfg.p, cfg.alpha))
     per_n = {}
     for n, rows_n in sorted(by_n.items()):
         good, failed = _split_ok(rows_n)
@@ -695,7 +680,7 @@ def _agg_test(cfg, by_n):
         u = np.array(cfg.shift)
         lam = float(u @ fisher_info(cfg.theta) @ u)
         summary["noncentrality"] = lam
-        summary["predicted_power"] = float(noncentral_chi2_sf(crit, cfg.p, lam))
+        summary["predicted_power"] = float(scipy.stats.ncx2.sf(crit, cfg.p, lam))
     return per_n, summary
 
 
@@ -754,37 +739,3 @@ def run_experiment(
 
 def _call_worker(cfg: ExperimentConfig, rep: int) -> list[dict]:
     return _WORKERS[cfg.experiment](cfg, rep)
-
-
-def _run_named(name: str, cfg: ExperimentConfig, jobs: int, progress) -> ExperimentReport:
-    if cfg.experiment != name:
-        cfg = replace(cfg, experiment=name)
-    return run_experiment(cfg, jobs=jobs, progress=progress)
-
-
-def run_consistency(cfg, jobs: int = 1, progress=None) -> ExperimentReport:
-    return _run_named("consistency", cfg, jobs, progress)
-
-
-def run_clt(cfg, jobs: int = 1, progress=None) -> ExperimentReport:
-    return _run_named("clt", cfg, jobs, progress)
-
-
-def run_qsl(cfg, jobs: int = 1, progress=None) -> ExperimentReport:
-    return _run_named("qsl", cfg, jobs, progress)
-
-
-def run_lil(cfg, jobs: int = 1, progress=None) -> ExperimentReport:
-    return _run_named("lil", cfg, jobs, progress)
-
-
-def run_lan_remainder(cfg, jobs: int = 1, progress=None) -> ExperimentReport:
-    return _run_named("lan_remainder", cfg, jobs, progress)
-
-
-def run_test_size(cfg, jobs: int = 1, progress=None) -> ExperimentReport:
-    return _run_named("test_size", cfg, jobs, progress)
-
-
-def run_test_power(cfg, jobs: int = 1, progress=None) -> ExperimentReport:
-    return _run_named("test_power", cfg, jobs, progress)

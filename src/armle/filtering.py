@@ -18,7 +18,6 @@ Everything is O(n) memory in streaming form; materializing all rows
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -74,71 +73,6 @@ def _stream(kernel: CovarianceKernel, n: int) -> Iterator[StreamStep]:
         yield StreamStep(m, row[:m], beta, sigma2)
 
 
-@dataclass(frozen=True, eq=False)
-class FilterState:
-    """Filter state after ``step`` observations.
-
-    Fields
-    ------
-    step : int
-        Current index n.
-    beta : ndarray, shape (n-1,)
-        Partial autocorrelations beta_1 .. beta_{n-1}.
-    sigma2 : ndarray, shape (n,)
-        Prediction variances sigma_1**2 .. sigma_n**2.
-    row : ndarray, shape (n,)
-        Current whitening row k(n, 1..n); row[-1] = 1, row[0] = -beta_{n-1}.
-
-    Treat instances as immutable; `advance` returns a new state.
-    """
-
-    step: int
-    beta: np.ndarray
-    sigma2: np.ndarray
-    row: np.ndarray
-    _rvals: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    @classmethod
-    def initial(cls) -> "FilterState":
-        return cls(
-            step=1,
-            beta=np.empty(0),
-            sigma2=np.array([1.0]),
-            row=np.array([1.0]),
-            _rvals=np.empty(0),
-        )
-
-
-def advance(state: FilterState, kernel: CovarianceKernel) -> FilterState:
-    """Advance the filter one step, from index n to n + 1.
-
-    Raises
-    ------
-    NotPositiveDefinite
-        If 1 - beta_n**2 or the updated variance falls below the floor.
-    """
-    n = state.step
-    rvals = state._rvals
-    if rvals is None or rvals.size != n - 1:
-        rvals = np.array([covariance(kernel, k) for k in range(1, n)])
-    rvals = np.append(rvals, covariance(kernel, n))
-    sigma2_n = float(state.sigma2[-1])
-    beta_n = float(state.row @ rvals) / sigma2_n
-    new_sigma2 = _check_positive(beta_n, sigma2_n, n + 1)
-    new_row = np.empty(n + 1)
-    if n > 1:
-        new_row[1:n] = state.row[: n - 1] - beta_n * state.row[n - 2 :: -1]
-    new_row[n] = 1.0
-    new_row[0] = -beta_n
-    return FilterState(
-        step=n + 1,
-        beta=np.append(state.beta, beta_n),
-        sigma2=np.append(state.sigma2, new_sigma2),
-        row=new_row,
-        _rvals=rvals,
-    )
-
-
 def kernel_rows(kernel: CovarianceKernel, n: int) -> np.ndarray:
     """All whitening rows up to ``n`` as a lower-triangular (n, n) array.
 
@@ -166,24 +100,3 @@ def pacf_and_variances(kernel: CovarianceKernel, n: int) -> tuple[np.ndarray, np
         if step.index <= n:
             sigma2[step.index - 1] = step.sigma2
     return beta, sigma2
-
-
-def whiten(xi: np.ndarray, kernel: CovarianceKernel) -> tuple[np.ndarray, np.ndarray]:
-    """Whiten a noise path.
-
-    Returns
-    -------
-    eps : ndarray
-        Innovations eps_m = sum_{i<=m} k(m, i) xi_i / sigma_m.
-    sigma : ndarray
-        Prediction standard deviations sigma_1 .. sigma_n.
-    """
-    xi = np.ascontiguousarray(xi, dtype=float)
-    n = xi.size
-    eps = np.empty(n)
-    sigma = np.empty(n)
-    for step in _stream(kernel, n):
-        m = step.index
-        sigma[m - 1] = np.sqrt(step.sigma2)
-        eps[m - 1] = float(step.row @ xi[:m]) / sigma[m - 1]
-    return eps, sigma

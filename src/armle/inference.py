@@ -2,7 +2,8 @@
 
 The log-likelihood is exactly quadratic in theta, so the maximizer solves the
 normal equations gram @ theta = moment, the likelihood-ratio statistic equals
-the quadratic form score^T gram^{-1} score, and the expansion of
+the quadratic form d^T gram d with d = theta_hat - theta_0 (and so
+score^T gram^{-1} score), and the expansion of
 log L(theta_0 + u/sqrt(n)) - log L(theta_0) in u is an algebraic identity with
 empirical curvature gram/n. Critical values come from the chi-square
 distribution with p degrees of freedom.
@@ -13,12 +14,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.special import gammainc, gammaincc, gammaln
+from scipy.special import chdtrc, chdtri
 
 from .ar import as_theta, fisher_info, require_stable
 from .exceptions import SingularGram
-from .state import FilteredPath, gram_moment, log_likelihood, accumulate
+from .state import FilteredPath, _check_theta, accumulate, gram_moment
 
 #: Gram matrices with a larger 2-norm condition number are rejected as singular.
 GRAM_CONDITION_CAP = 1e12
@@ -48,19 +48,25 @@ class EstimationResult:
         return np.sqrt(np.diag(cov))
 
 
-def _solve_gram(gram: np.ndarray, moment: np.ndarray) -> tuple[np.ndarray, float]:
+def _solve_gram(
+    gram: np.ndarray, moment: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batched normal-equation solves of gram[k] @ theta[k] = moment[k].
+
+    ``gram`` has shape (k, p, p) and ``moment`` shape (k, p). Returns
+    (theta, cond, ok): ``cond`` is the 2-norm condition number (inf when a
+    Gram matrix is not positive definite) and ``ok`` flags the solves with
+    cond within the cap; theta is NaN where ``ok`` is false.
+    """
     evals = np.linalg.eigvalsh(gram)
-    lo, hi = float(evals[0]), float(evals[-1])
-    if not (np.isfinite(lo) and np.isfinite(hi)) or lo <= 0.0:
-        raise SingularGram(math.inf)
-    cond = hi / lo
-    if cond > GRAM_CONDITION_CAP:
-        raise SingularGram(cond)
-    cho = scipy.linalg.cho_factor(gram)
-    theta = scipy.linalg.cho_solve(cho, moment)
-    # One refinement step keeps the normal-equation residual at rounding level.
-    theta = theta + scipy.linalg.cho_solve(cho, moment - gram @ theta)
-    return theta, cond
+    lo, hi = evals[:, 0], evals[:, -1]
+    ok = np.isfinite(lo) & np.isfinite(hi) & (lo > 0.0)
+    cond = np.where(ok, hi / np.where(ok, lo, 1.0), math.inf)
+    ok &= cond <= GRAM_CONDITION_CAP
+    theta = np.full(moment.shape, np.nan)
+    if ok.any():
+        theta[ok] = np.linalg.solve(gram[ok], moment[ok][:, :, None])[:, :, 0]
+    return theta, cond, ok
 
 
 def mle(path: FilteredPath) -> EstimationResult:
@@ -72,18 +78,27 @@ def mle(path: FilteredPath) -> EstimationResult:
         If the Gram matrix is singular or its condition number exceeds the cap.
     """
     acc = gram_moment(path)
-    theta, cond = _solve_gram(acc.gram, acc.moment)
+    theta, cond, ok = _solve_gram(acc.gram[None], acc.moment[None])
+    if not ok[0]:
+        raise SingularGram(cond[0])
     return EstimationResult(
-        theta_hat=theta, gram_over_n=acc.gram / path.n, n=path.n, cond=cond
+        theta_hat=theta[0], gram_over_n=acc.gram / path.n, n=path.n, cond=float(cond[0])
     )
+
+
+def _lr(path: FilteredPath, theta0) -> tuple[float, np.ndarray, EstimationResult]:
+    """(statistic, theta_0, estimate). The log-likelihood is quadratic in
+    theta, so the statistic is exactly d^T gram d with d = theta_hat - theta_0;
+    this form avoids cancelling two O(n) log-likelihood sums."""
+    th0 = _check_theta(path, theta0)
+    est = mle(path)
+    d = est.theta_hat - th0
+    return max(float(d @ est.gram_over_n @ d) * est.n, 0.0), th0, est
 
 
 def lr_statistic(path: FilteredPath, theta0) -> float:
     """Likelihood-ratio statistic 2 (log L(theta_hat) - log L(theta_0))."""
-    th0 = as_theta(theta0)
-    est = mle(path)
-    stat = 2.0 * (log_likelihood(path, est.theta_hat) - log_likelihood(path, th0))
-    return max(stat, 0.0)
+    return _lr(path, theta0)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,18 +118,15 @@ def lr_test(path: FilteredPath, theta0, alpha: float) -> TestResult:
     Rejects when the statistic reaches the upper-alpha chi-square quantile
     with p degrees of freedom.
     """
-    th0 = as_theta(theta0)
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    est = mle(path)
-    stat = 2.0 * (log_likelihood(path, est.theta_hat) - log_likelihood(path, th0))
-    stat = max(stat, 0.0)
-    crit = chi2_quantile(th0.size, alpha)
+    stat, th0, est = _lr(path, theta0)
+    crit = float(chdtri(th0.size, alpha))
     return TestResult(
         statistic=stat,
         critical=crit,
         alpha=float(alpha),
-        pvalue=chi2_sf(stat, th0.size),
+        pvalue=float(chdtrc(th0.size, stat)),
         reject=bool(stat >= crit),
         theta_hat=est.theta_hat,
         theta0=th0,
@@ -151,86 +163,6 @@ def lan_decomposition(path: FilteredPath, theta0, u) -> tuple[float, float, floa
     return score_term, info_term, remainder
 
 
-def chi2_cdf(x: float, dof: int) -> float:
-    """Chi-square CDF via the regularized lower incomplete gamma function."""
-    if x <= 0.0:
-        return 0.0
-    return float(gammainc(dof / 2.0, x / 2.0))
-
-
-def chi2_sf(x: float, dof: int) -> float:
-    """Chi-square survival function (upper tail)."""
-    if x <= 0.0:
-        return 1.0
-    return float(gammaincc(dof / 2.0, x / 2.0))
-
-
-def _chi2_pdf(x: float, dof: int) -> float:
-    if x <= 0.0:
-        return 0.0
-    k = dof / 2.0
-    return math.exp((k - 1.0) * math.log(x) - x / 2.0 - gammaln(k) - k * math.log(2.0))
-
-
-def chi2_quantile(dof: int, alpha: float) -> float:
-    """Upper-alpha quantile of the chi-square law with ``dof`` degrees of freedom.
-
-    Solves sf(x) = alpha by Newton iteration on the regularized incomplete
-    gamma CDF, safeguarded by bisection, to absolute tolerance 1e-9.
-    """
-    dof = int(dof)
-    if dof < 1:
-        raise ValueError("dof must be a positive integer")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    lo, hi = 0.0, float(dof) + 1.0
-    while chi2_sf(hi, dof) > alpha:
-        hi *= 2.0
-        if hi > 1e12:
-            break
-    x = 0.5 * (lo + hi)
-    for _ in range(200):
-        f = chi2_sf(x, dof) - alpha
-        if f > 0.0:
-            lo = x
-        else:
-            hi = x
-        d = _chi2_pdf(x, dof)
-        step = f / d if d > 0.0 else 0.0
-        xn = x + step
-        if not lo < xn < hi:
-            xn = 0.5 * (lo + hi)
-        if abs(xn - x) <= 1e-9 and hi - lo <= 1e-6:
-            return xn
-        x = xn
-    return x
-
-
-def noncentral_chi2_sf(x: float, dof: int, noncentrality: float) -> float:
-    """Upper tail of the noncentral chi-square law via its Poisson mixture series."""
-    lam = float(noncentrality)
-    if lam < 0.0:
-        raise ValueError("noncentrality must be nonnegative")
-    if lam == 0.0:
-        return chi2_sf(x, dof)
-    half = lam / 2.0
-    logw = -half
-    total = 0.0
-    weight_sum = 0.0
-    j = 0
-    while True:
-        w = math.exp(logw)
-        total += w * chi2_sf(x, dof + 2 * j)
-        weight_sum += w
-        if weight_sum >= 1.0 - 1e-14 and j > half:
-            break
-        j += 1
-        logw += math.log(half) - math.log(j)
-        if j > 100000:
-            break
-    return min(max(total, 0.0), 1.0)
-
-
 @dataclass(frozen=True, eq=False)
 class ConfidenceEllipsoid:
     """Set {theta : (theta_hat - theta)^T shape (theta_hat - theta) <= radius}."""
@@ -263,5 +195,5 @@ def confidence_ellipsoid(
         shape = fisher_info(result.theta_hat)
     else:
         raise ValueError("information must be 'empirical' or 'fisher'")
-    radius = chi2_quantile(result.p, alpha) / result.n
+    radius = float(chdtri(result.p, alpha)) / result.n
     return ConfidenceEllipsoid(center=result.theta_hat, shape=shape, radius=radius)

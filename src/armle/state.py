@@ -109,17 +109,6 @@ def filter_observations(x, kernel: CovarianceKernel, p: int) -> FilteredPath:
     )
 
 
-def transition(theta, pacf_value: float) -> np.ndarray:
-    """Block transition matrix [[A, beta*A], [beta*I, I]] of size 2p."""
-    from .ar import companion
-
-    a = companion(theta)
-    p = a.shape[0]
-    eye = np.eye(p)
-    b = float(pacf_value)
-    return np.block([[a, b * a], [b * eye, eye]])
-
-
 def score_weights(path: FilteredPath) -> np.ndarray:
     """Score weights w_1..w_n, shape (n, p); w_1 = 0 since zeta_0 = 0.
 

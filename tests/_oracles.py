@@ -3,17 +3,18 @@
 Everything here deliberately avoids the package's own recursions: whitening
 rows come from dense Toeplitz solves, variances from Cholesky, the Fisher
 matrix from a truncated series, likelihoods from the full multivariate
-normal density, and AR recursions from plain Python loops.
+normal density, AR recursions from plain Python loops, and the state
+transition matrix from its block layout.
 """
 import numpy as np
+import scipy.linalg
 
-from armle import covariance
+from armle import companion, covariance
 
 
 def dense_covariance(kernel, n):
     """Full n x n Toeplitz covariance matrix built lag by lag."""
-    lags = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    return np.array([[covariance(kernel, int(l)) for l in row] for row in lags])
+    return scipy.linalg.toeplitz([covariance(kernel, lag) for lag in range(n)])
 
 
 def dense_whitening(kernel, n):
@@ -37,6 +38,14 @@ def dense_whitening(kernel, n):
 def cholesky_sigmas(kernel, n):
     """Innovation standard deviations as the Cholesky diagonal of the covariance."""
     return np.diag(np.linalg.cholesky(dense_covariance(kernel, n)))
+
+
+def transition(theta, pacf_value):
+    """Block transition matrix [[A, beta*A], [beta*I, I]] of size 2p."""
+    a = companion(theta)
+    eye = np.eye(a.shape[0])
+    b = float(pacf_value)
+    return np.block([[a, b * a], [b * eye, eye]])
 
 
 def series_fisher(theta, terms=500):

@@ -248,9 +248,13 @@ def test_lr_identity_and_null_law(capsys):
         x = apply_ar(theta0, noise_from_innovations(kernel, eps))
         path = filter_observations(x, kernel, p)
         stat = lr_statistic(path, theta0)
+        theta_hat = mle(path).theta_hat
+        loglik_diff = 2.0 * (
+            log_likelihood(path, theta_hat) - log_likelihood(path, theta0)
+        )
         acc, score = accumulate(path, theta0)
         quad = float(score @ np.linalg.solve(acc.gram, score))
-        identity_err = max(identity_err, abs(stat - quad))
+        identity_err = max(identity_err, abs(stat - loglik_diff), abs(stat - quad))
 
     report = _shared("size", _size_report)
     stats = np.array([row["statistic"] for row in report.rows if row["ok"]])
@@ -260,7 +264,8 @@ def test_lr_identity_and_null_law(capsys):
         capsys,
         "lr_identity_null_law",
         ok,
-        f"max |lr - score quad form| {identity_err:.3e} over 30 instances; "
+        f"max |lr - 2 delta loglik|, |lr - score quad form| {identity_err:.3e} "
+        f"over 30 instances; "
         f"KS vs chi2(1) pvalue {ks.pvalue:.4f} on {stats.size} null statistics, "
         f"mc runtime {report.runtime_seconds:.1f}s",
     )

@@ -17,11 +17,14 @@ from armle import (
     is_stable,
     require_stable,
     simulate_series,
-    stability,
     white,
 )
 
 from _oracles import ar_recursion, random_stable_theta, series_fisher
+
+#: Stable parameters whose characteristic polynomial has a repeated root:
+#: (z - 0.5)**3 and (z - 0.9)**4.
+REPEATED_ROOT_THETAS = [(1.5, -0.75, 0.125), (3.6, -4.86, 2.916, -0.6561)]
 
 
 def test_companion_layouts():
@@ -72,10 +75,9 @@ def test_stability_classification():
     assert not is_stable((1.2, -0.2))
     assert not is_stable((1.0,))
     assert not is_stable((0.7, 0.5))
-    result = stability((0.5, 0.3))
-    assert result.stable
+    moduli = np.sort(np.abs(characteristic_roots((0.5, 0.3))))[::-1]
     np.testing.assert_allclose(
-        result.root_moduli,
+        moduli,
         [(math.sqrt(1.45) + 0.5) / 2, (math.sqrt(1.45) - 0.5) / 2],
         rtol=1e-12,
     )
@@ -97,6 +99,9 @@ def test_random_stable_thetas_are_stable():
     for _ in range(100):
         p = int(gen.integers(1, 5))
         assert is_stable(random_stable_theta(gen, p))
+    for theta in REPEATED_ROOT_THETAS:
+        assert is_stable(theta)
+        np.testing.assert_array_equal(require_stable(theta), theta)
 
 
 @given(st.floats(min_value=-0.999, max_value=0.999))
@@ -113,7 +118,8 @@ def test_fisher_info_ar1_closed_form():
 
 
 def test_fisher_info_matches_series_oracle():
-    for theta in [(0.5, 0.3), (0.4, -0.3), (0.3, 0.2, 0.1), (0.5, -0.2, 0.1)]:
+    for theta in [(0.5, 0.3), (0.4, -0.3), (0.3, 0.2, 0.1), (0.5, -0.2, 0.1),
+                  REPEATED_ROOT_THETAS[0]]:
         np.testing.assert_allclose(
             fisher_info(theta), series_fisher(theta, terms=500), rtol=1e-10, atol=1e-12
         )
@@ -147,7 +153,7 @@ def test_fisher_info_rejects_unstable():
 
 def test_apply_ar_matches_loop_oracle():
     gen = np.random.default_rng(3)
-    for theta in [(0.5,), (0.5, 0.3), (0.4, 0.2, -0.3)]:
+    for theta in [(0.5,), (0.5, 0.3), (0.4, 0.2, -0.3)] + REPEATED_ROOT_THETAS:
         xi = gen.standard_normal(40)
         np.testing.assert_allclose(
             apply_ar(theta, xi), ar_recursion(theta, xi), rtol=1e-13, atol=1e-13

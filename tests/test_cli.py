@@ -88,6 +88,14 @@ def test_simulate_lag_one_autocorrelation(capsys):
     assert acf1 == pytest.approx(0.5, abs=0.02)
 
 
+def test_simulate_accepts_repeated_roots(capsys):
+    # (z - 0.5)**3: a stable parameter whose characteristic root is triple.
+    argv = ["simulate", "--theta", "1.5,-0.75,0.125", "--kernel", WHITE_KERNEL, "--n", "50"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert len(lines) == 51
+
+
 # ---------------------------------------------------------------------------
 # filter / validate-kernel
 # ---------------------------------------------------------------------------

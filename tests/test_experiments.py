@@ -15,11 +15,8 @@ from armle import (
     run_experiment,
     white,
 )
-from armle.experiments import (
-    _cumulative_stats,
-    _estimates_at,
-    _score_arrays,
-)
+from armle.experiments import _cumulative_stats, _score_arrays
+from armle.inference import _solve_gram
 
 
 def _base_cfg(**kw):
@@ -59,17 +56,9 @@ def test_score_arrays_match_public_route(kernel, theta):
     cum_gram, cum_mom = _cumulative_stats(w, z1, sigma2)
     np.testing.assert_allclose(cum_gram[-1], acc.gram, rtol=1e-11, atol=1e-12)
     np.testing.assert_allclose(cum_mom[-1], acc.moment, rtol=1e-11, atol=1e-12)
-    theta_hat, ok = _estimates_at(cum_gram, cum_mom, np.array([n - 1]))
+    theta_hat, _, ok = _solve_gram(cum_gram[-1:], cum_mom[-1:])
     assert ok[0]
     np.testing.assert_allclose(theta_hat[0], armle.mle(path).theta_hat, rtol=1e-9)
-
-
-def test_estimates_at_flags_singular():
-    cum_gram = np.zeros((3, 2, 2))
-    cum_mom = np.zeros((3, 2))
-    theta, ok = _estimates_at(cum_gram, cum_mom, np.arange(3))
-    assert not ok.any()
-    assert np.all(np.isnan(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +332,3 @@ def test_report_files_round_trip(tmp_path):
     assert float(curve_rows[0]["rel_error_fro"]) == pytest.approx(
         report.per_n[150]["rel_error_fro"]
     )
-
-
-def test_run_helpers_override_experiment():
-    cfg = _base_cfg(replicates=3)
-    report = armle.run_clt(cfg)
-    assert report.experiment == "clt"
-    report = armle.run_test_size(cfg)
-    assert report.experiment == "test_size"

@@ -1,22 +1,27 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import armle
 from armle import (
-    FilterState,
     NotPositiveDefinite,
-    advance,
     ar1,
     fgn,
+    filter_observations,
     kernel_rows,
     pacf_and_variances,
     white,
-    whiten,
 )
 
-from _oracles import cholesky_sigmas, dense_whitening
+from _oracles import cholesky_sigmas, dense_covariance, dense_whitening
 
 FAMILIES = [white(), ar1(0.5), ar1(-0.8), fgn(0.7), fgn(0.3)]
+
+
+def _whiten(xi, kernel):
+    """Innovations eps_m = sum_i k(m, i) xi_i / sigma_m and the sigmas."""
+    path = filter_observations(xi, kernel, 1)
+    return path.whitened[:, 0] / path.sigma, path.sigma
 
 
 def test_white_filter_is_identity():
@@ -59,31 +64,19 @@ def test_variances_match_cholesky_diagonal(kernel):
 
 
 def test_filter_state_invariants():
-    state = FilterState.initial()
-    assert state.step == 1
-    assert state.sigma2[0] == 1.0
-    assert state.row[-1] == 1.0
-    kernel = fgn(0.65)
-    for _ in range(30):
-        state = advance(state, kernel)
-        n = state.step
-        assert state.row[n - 1] == 1.0
-        assert state.beta[n - 2] == pytest.approx(-state.row[0], abs=1e-15)
-        assert np.all(np.abs(state.beta) < 1.0)
-        # sigma_n^2 = prod (1 - beta_i^2)
-        assert state.sigma2[-1] == pytest.approx(
-            np.prod(1.0 - state.beta**2), rel=1e-12
-        )
-    assert np.all(np.diff(state.sigma2) <= 1e-15)
-
-
-def test_advance_matches_batch_rows():
-    kernel = ar1(-0.6)
-    state = FilterState.initial()
-    for _ in range(14):
-        state = advance(state, kernel)
-    rows = kernel_rows(kernel, 15)
-    np.testing.assert_allclose(state.row, rows[14], rtol=1e-12, atol=1e-15)
+    n = 31
+    beta, sigma2 = pacf_and_variances(fgn(0.65), n)
+    rows = kernel_rows(fgn(0.65), n)
+    assert sigma2[0] == 1.0
+    assert np.all(np.abs(beta) < 1.0)
+    # sigma_n^2 = prod_{i<n} (1 - beta_i^2), and the variances never grow.
+    np.testing.assert_allclose(
+        sigma2[1:], np.cumprod(1.0 - beta[:-1] ** 2), rtol=1e-12
+    )
+    assert np.all(np.diff(sigma2) <= 1e-15)
+    np.testing.assert_array_equal(np.diag(rows), np.ones(n))
+    # Row m starts with -beta_{m-1}.
+    np.testing.assert_allclose(rows[1:, 0], -beta[:-1], atol=1e-15)
 
 
 def test_near_unit_root_kernel_degenerates():
@@ -96,7 +89,7 @@ def test_near_unit_root_kernel_degenerates():
 
 def test_whiten_white_noise_is_identity():
     xi = np.array([0.1, -0.4, 2.0])
-    eps, sigma = whiten(xi, white())
+    eps, sigma = _whiten(xi, white())
     np.testing.assert_array_equal(eps, xi)
     np.testing.assert_array_equal(sigma, np.ones(3))
 
@@ -109,7 +102,7 @@ def test_whiten_decorrelates_empirically():
         xi = armle.noise_from_innovations(
             k, armle.standard_normals(armle.substream(17, r), n)
         )
-        eps_all[r], _ = whiten(xi, k)
+        eps_all[r], _ = _whiten(xi, k)
     emp = eps_all.T @ eps_all / reps
     np.testing.assert_allclose(emp, np.eye(n), atol=0.1)
 
@@ -117,3 +110,22 @@ def test_whiten_decorrelates_empirically():
 def test_pacf_and_variances_validates_n():
     with pytest.raises(ValueError):
         pacf_and_variances(white(), 0)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [fgn(0.05), fgn(0.95), fgn(0.999), ar1(-0.99), ar1(0.99)],
+    ids=lambda k: k.label(),
+)
+def test_whitening_matches_dense_cholesky_at_large_n(kernel):
+    # Levinson-Durbin is weakly stable (Cybenko 1980): its error against the
+    # dense triangular solve L^{-1} x grows with the condition number of T_n.
+    n = 2000
+    cov = dense_covariance(kernel, n)
+    chol = np.linalg.cholesky(cov)
+    x = chol @ armle.standard_normals(armle.substream(3), n)
+    expected = scipy.linalg.solve_triangular(chol, x, lower=True)
+    eps, _ = _whiten(x, kernel)
+    evals = np.linalg.eigvalsh(cov)
+    kappa = evals[-1] / evals[0]
+    assert np.max(np.abs(eps - expected)) <= 16.0 * kappa * 2.0**-52

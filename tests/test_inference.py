@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 
 import armle
 from armle import (
+    ExperimentConfig,
     SingularGram,
     Unstable,
     accumulate,
+    aggregate,
     ar1,
-    chi2_cdf,
-    chi2_quantile,
-    chi2_sf,
     confidence_ellipsoid,
     fgn,
     filter_observations,
@@ -24,9 +23,9 @@ from armle import (
     lr_statistic,
     lr_test,
     mle,
-    noncentral_chi2_sf,
     white,
 )
+from armle.inference import GRAM_CONDITION_CAP, _solve_gram
 
 from _oracles import ols_ar, random_stable_theta
 
@@ -89,9 +88,10 @@ def test_lr_statistic_identities():
     quad = float(score @ np.linalg.solve(acc.gram, score))
     assert stat == pytest.approx(quad, rel=1e-8, abs=1e-10)
     result = mle(path)
-    d = result.theta_hat - np.array(theta0)
-    wald = float(d @ acc.gram @ d)
-    assert stat == pytest.approx(wald, rel=1e-8, abs=1e-10)
+    loglik_diff = 2.0 * (
+        log_likelihood(path, result.theta_hat) - log_likelihood(path, theta0)
+    )
+    assert stat == pytest.approx(loglik_diff, rel=1e-8, abs=1e-10)
 
 
 def test_lr_statistic_zero_at_mle():
@@ -106,63 +106,113 @@ def test_lr_test_decision_rule():
     assert res.reject == (res.statistic >= res.critical)
     assert 0.0 <= res.pvalue <= 1.0
     assert res.critical == pytest.approx(3.8414588206941285, abs=1e-8)
-    assert res.pvalue == pytest.approx(chi2_sf(res.statistic, 1), rel=1e-12)
+    assert res.pvalue == pytest.approx(scipy.stats.chi2.sf(res.statistic, 1), rel=1e-12)
     # Far-off null must reject.
     res_far = lr_test(path, (-0.6,), alpha=0.05)
     assert res_far.reject
     assert res_far.pvalue < 1e-6
 
 
+def _paths_by_order():
+    """One fitted path per order p = 1..3, with the true theta as the null."""
+    for p, theta in enumerate([(0.3,), (0.4, -0.2), (0.3, 0.2, -0.1)], start=1):
+        path, _ = _fit(ar1(0.5), theta, 300, seed=20 + p)
+        yield p, path, theta
+
+
 def test_chi2_quantile_matches_scipy():
-    for dof in range(1, 11):
+    for p, path, theta in _paths_by_order():
+        result = mle(path)
         for alpha in (0.2, 0.1, 0.05, 0.01, 0.001):
-            ours = chi2_quantile(dof, alpha)
-            ref = scipy.stats.chi2.isf(alpha, dof)
-            assert ours == pytest.approx(ref, abs=1e-8)
+            ref = scipy.stats.chi2.isf(alpha, p)
+            assert lr_test(path, theta, alpha).critical == pytest.approx(ref, abs=1e-8)
+            radius = confidence_ellipsoid(result, alpha).radius
+            assert radius * result.n == pytest.approx(ref, abs=1e-8)
 
 
 def test_chi2_quantile_frozen_values():
-    assert chi2_quantile(1, 0.05) == pytest.approx(3.8414588206941285, abs=1e-9)
+    path, _ = _fit(white(), (0.3,), 200, seed=1)
+    assert lr_test(path, (0.3,), 0.05).critical == pytest.approx(
+        3.8414588206941285, abs=1e-9
+    )
     # For two degrees of freedom the upper quantile is -2 log(alpha).
-    assert chi2_quantile(2, 0.05) == pytest.approx(-2.0 * math.log(0.05), abs=1e-9)
+    path, _ = _fit(white(), (0.3, 0.1), 200, seed=1)
+    assert lr_test(path, (0.3, 0.1), 0.05).critical == pytest.approx(
+        -2.0 * math.log(0.05), abs=1e-9
+    )
 
 
 def test_chi2_cdf_sf_match_scipy():
-    for dof in (1, 2, 5):
-        for x in (0.0, 0.5, 1.0, 3.84, 10.0, 35.0):
-            assert chi2_cdf(x, dof) == pytest.approx(
-                scipy.stats.chi2.cdf(x, dof), abs=1e-13
-            )
-            assert chi2_sf(x, dof) == pytest.approx(
-                scipy.stats.chi2.sf(x, dof), abs=1e-13
+    for p, path, theta in _paths_by_order():
+        gen = np.random.default_rng(p)
+        for theta0 in np.asarray(theta) + gen.uniform(-0.2, 0.2, size=(6, p)):
+            res = lr_test(path, theta0, 0.05)
+            assert res.pvalue == pytest.approx(
+                scipy.stats.chi2.sf(res.statistic, p), abs=1e-13
             )
 
 
 @given(
     st.integers(min_value=1, max_value=8),
     st.floats(min_value=0.001, max_value=0.5),
+    st.floats(min_value=-0.1, max_value=0.1),
 )
 @settings(max_examples=60, deadline=None)
-def test_chi2_quantile_inverse_property(dof, alpha):
-    q = chi2_quantile(dof, alpha)
-    assert chi2_sf(q, dof) == pytest.approx(alpha, rel=1e-7, abs=1e-10)
+def test_chi2_quantile_inverse_property(p, alpha, shift):
+    # The critical value inverts the survival function, so the quantile rule
+    # and the p-value rule reject together.
+    path, _ = _fit(ar1(0.5), (0.1,) * p, 300, seed=p)
+    res = lr_test(path, np.full(p, 0.1 + shift), alpha)
+    assert scipy.stats.chi2.sf(res.critical, p) == pytest.approx(
+        alpha, rel=1e-7, abs=1e-10
+    )
+    if not math.isclose(res.statistic, res.critical, rel_tol=1e-9):
+        assert res.reject == (res.pvalue <= alpha)
+
+
+def _predicted_power(p, alpha, shift):
+    cfg = ExperimentConfig(
+        experiment="test_power",
+        theta=(0.0,) * p,
+        kernel=white(),
+        sample_sizes=(400,),
+        replicates=1,
+        seed=0,
+        alpha=alpha,
+        shift=shift,
+    )
+    return aggregate(cfg, [])[1]
 
 
 def test_noncentral_chi2_sf_matches_scipy():
-    for dof in (1, 2, 4):
+    # At theta = 0 the information is the identity, so lambda = |shift|^2.
+    for p in (1, 2, 4):
         for lam in (0.0, 0.5, 4.0, 12.0):
-            for x in (0.5, 3.84, 9.0, 20.0):
-                assert noncentral_chi2_sf(x, dof, lam) == pytest.approx(
-                    scipy.stats.ncx2.sf(x, dof, lam) if lam > 0
-                    else scipy.stats.chi2.sf(x, dof),
-                    abs=1e-10,
-                )
+            for alpha in (0.2, 0.05, 0.01):
+                summary = _predicted_power(p, alpha, (math.sqrt(lam),) + (0.0,) * (p - 1))
+                assert summary["noncentrality"] == pytest.approx(lam, rel=1e-12)
+                crit = scipy.stats.chi2.isf(alpha, p)
+                ref = scipy.stats.ncx2.sf(crit, p, lam) if lam > 0 else alpha
+                assert summary["predicted_power"] == pytest.approx(ref, abs=1e-10)
 
 
 def test_noncentral_chi2_power_value():
     # Exceedance of the 5% chi-square(1) critical value at noncentrality 4.
-    crit = chi2_quantile(1, 0.05)
-    assert noncentral_chi2_sf(crit, 1, 4.0) == pytest.approx(0.5160052739761744, abs=1e-9)
+    summary = _predicted_power(1, 0.05, (2.0,))
+    assert summary["noncentrality"] == 4.0
+    assert summary["predicted_power"] == pytest.approx(0.5160052739761744, abs=1e-9)
+
+
+def test_solve_gram_flags_singular():
+    gram = np.zeros((3, 2, 2))
+    gram[1] = np.diag([1.0, 2.0 * GRAM_CONDITION_CAP])
+    gram[2] = np.diag([2.0, 1.0])
+    moment = np.ones((3, 2))
+    theta, cond, ok = _solve_gram(gram, moment)
+    np.testing.assert_array_equal(ok, [False, False, True])
+    assert np.all(np.isnan(theta[:2]))
+    np.testing.assert_array_equal(cond, [math.inf, 2.0 * GRAM_CONDITION_CAP, 2.0])
+    np.testing.assert_array_equal(theta[2], [0.5, 1.0])
 
 
 def test_lan_identity_exact():

@@ -15,12 +15,11 @@ from armle import (
     innovations,
     log_likelihood,
     score_weights,
-    transition,
     white,
     write_state_csv,
 )
 
-from _oracles import dense_log_likelihood, random_stable_theta
+from _oracles import dense_log_likelihood, random_stable_theta, transition
 
 
 def _random_path(kernel, p, n, seed, theta=(0.3,)):
