@@ -366,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="order check; must equal the length of --theta")
     sim.add_argument("--kernel", type=_kernel_arg, required=True, help=kernel_help)
     sim.add_argument("--n", type=_positive_int, required=True,
-                     help="sample size (runtime grows as n^2; n <= 20000 recommended)")
+                     help="sample size (runtime grows as n^2 for fgn noise, as n for "
+                          "white and ar1; n <= 20000 recommended for fgn)")
     sim.add_argument("--seed", type=_nonneg_int, default=0, help="RNG seed")
     sim.add_argument("--out", default="-", help="output CSV path, - for stdout")
     sim.set_defaults(func=_cmd_simulate)

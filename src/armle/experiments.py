@@ -22,8 +22,9 @@ Available experiments, all driven by one :class:`ExperimentConfig`:
 
 Replicate r draws its innovations from substream (seed, r); ``test_power``
 uses (seed, size_index, r) because the simulated parameter depends on n.
-Multi-size experiments evaluate snapshots of the running Gram/moment along a
-single trajectory per replicate. Failed replicates (singular Gram) are
+Replicates are simulated in blocks that share one pass of the innovations
+filter. Multi-size experiments evaluate snapshots of the running Gram/moment
+along a single trajectory per replicate. Failed replicates (singular Gram) are
 recorded, excluded from aggregates and counted; a report passes only when the
 failure rate stays within 1 percent. Aggregates are recomputable from the raw
 rows and are bit-identical under any replicate execution order.
@@ -41,16 +42,16 @@ from itertools import chain
 from typing import Callable
 
 import numpy as np
-import scipy.signal
 import scipy.stats
 from scipy.special import chdtri
 
 from . import rng
 from .ar import apply_ar, fisher_info, fisher_info_inverse, require_stable
 from .exceptions import Unstable
-from .filtering import _stream
+from .filtering import MARKOV_FAMILIES, _generate, _whiten
 from .inference import _solve_gram
 from .noise import CovarianceKernel, kernel_from_json, validate_kernel
+from .state import _carry, _weights
 
 EXPERIMENTS = (
     "consistency",
@@ -238,97 +239,82 @@ def _fmt_cell(v) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Streaming engine
+# Block engine
 # ---------------------------------------------------------------------------
 
 
-def _score_arrays(theta, kernel: CovarianceKernel, eps: np.ndarray):
-    """Simulate one replicate and return its score arrays.
+def _block_size(cfg: ExperimentConfig) -> int:
+    """Replicates per block: up to 64, within a budget of time steps.
 
-    Returns (w, z1, sigma2): score weights (n, p), first whitened component
-    (n,), prediction variances (n,). The white and ar1 kernels short-circuit
-    to vectorized closed forms of the filter; other kernels run the O(n^2)
-    streaming recursion.
+    A block shares one filter walk, O(n) Python steps for an fgn kernel, so
+    its budget is 2**17 steps. White and ar1 kernels have no walk to share;
+    their budget of 2**14 steps keeps every array of a block under 128 KiB,
+    which stays in cache and is served from the heap rather than from freshly
+    mapped pages. The size depends on the config alone, so the partition into
+    blocks, and with it every report, is the same for any job count.
     """
-    th = np.asarray(theta, dtype=float)
-    p = th.size
-    n = eps.size
-    if kernel.family == "white":
-        x = apply_ar(th, eps)
-        z = np.zeros((n, p))
-        for j in range(p):
-            z[j:, j] = x[: n - j]
-        w = np.zeros((n, p))
-        w[1:] = z[:-1]
-        return w, x, np.ones(n)
-    if kernel.family == "ar1":
-        # Closed-form filter: beta_1 = a, beta_m = 0 afterwards, so rows are
-        # (..., 0, -a, 1), sigma stays at 1 - a^2 and the carry never feeds
-        # back into the score weights.
-        a = kernel.a
-        sigma = np.full(n, math.sqrt(1.0 - a * a))
-        sigma[0] = 1.0
-        xi = scipy.signal.lfilter([1.0], [1.0, -a], sigma * eps)
-        x = apply_ar(th, xi)
-        z = np.zeros((n, p))
-        for j in range(min(p, n)):
-            z[j, j] = x[0]
-            if n > j + 1:
-                z[j + 1 :, j] = x[1 : n - j] - a * x[: n - j - 1]
-        w = np.zeros((n, p))
-        w[1:] = z[:-1]
-        return w, z[:, 0], sigma**2
-    xi = np.empty(n)
-    x = np.empty(n)
-    z = np.zeros((n, p))
-    carry = np.zeros((n, p))
-    sigma2 = np.empty(n)
-    pacf = np.zeros(n)
-    for step in _stream(kernel, n):
-        m = step.index
-        i = m - 1
-        sigma2[i] = step.sigma2
-        pacf[i] = step.beta_prev
-        row = step.row
-        pred = float(row[:i] @ xi[:i]) if i else 0.0
-        xi[i] = math.sqrt(step.sigma2) * eps[i] - pred
-        acc = xi[i]
-        for j in range(min(p, i)):
-            acc += th[j] * x[i - 1 - j]
-        x[i] = acc
-        for j in range(min(p, m)):
-            z[i, j] = row[j:] @ x[: m - j]
-        if i:
-            carry[i] = carry[i - 1] + pacf[i] * z[i - 1]
-    w = np.zeros((n, p))
-    w[1:] = z[:-1] + pacf[1:, None] * carry[:-1]
-    return w, z[:, 0], sigma2
+    steps = 2**14 if cfg.kernel.family in MARKOV_FAMILIES else 2**17
+    return min(64, max(1, steps // max(cfg.sample_sizes)))
+
+
+def _simulate_block(theta, kernel: CovarianceKernel, eps: np.ndarray):
+    """Simulate a block of replicates from innovations eps, shape (R, n).
+
+    Returns (w, z1, sigma2): score weights (R, n, p), first whitened component
+    (R, n), prediction variances (n,). The filter is walked once per block
+    (not at all for white and ar1 kernels).
+    """
+    x = apply_ar(theta, _generate(kernel, eps))
+    z, sigma2, pacf = _whiten(kernel, x, len(theta))
+    del x
+    return _weights(z, _carry(z, pacf), pacf), z[..., 0].copy(), sigma2
 
 
 def _cumulative_stats(w, z1, sigma2):
-    """Running Gram (n, p, p) and moment (n, p) over the first k terms."""
+    """Running Gram (..., n, p, p) and moment (..., n, p) over the first k terms."""
     sw = w / np.sqrt(sigma2)[:, None]
-    cum_gram = np.cumsum(sw[:, :, None] * sw[:, None, :], axis=0)
-    cum_mom = np.cumsum(w * (z1 / sigma2)[:, None], axis=0)
+    cum_gram = sw[..., :, None] * sw[..., None, :]
+    del sw
+    np.cumsum(cum_gram, axis=-3, out=cum_gram)
+    cum_mom = w * (z1 / sigma2)[..., None]
+    np.cumsum(cum_mom, axis=-2, out=cum_mom)
     return cum_gram, cum_mom
 
 
-def _simulate_cumulants(cfg: ExperimentConfig, rep: int, theta_sim=None):
-    theta_sim = np.array(cfg.theta) if theta_sim is None else np.asarray(theta_sim)
-    n_max = max(cfg.sample_sizes)
-    eps = rng.standard_normals(rng.substream(cfg.seed, rep), n_max)
-    w, z1, sigma2 = _score_arrays(theta_sim, cfg.kernel, eps)
+def _simulate_cumulants(kernel: CovarianceKernel, theta, n: int, keys):
+    """Running statistics (R, n, p, p) and (R, n, p) of one replicate per
+    substream key, simulated at ``theta`` as one block."""
+    eps = np.empty((len(keys), n))
+    for k, key in enumerate(keys):
+        eps[k] = rng.standard_normals(rng.substream(*key), n)
+    w, z1, sigma2 = _simulate_block(theta, kernel, eps)
+    del eps  # block-sized arrays are dropped once used, to bound peak memory
     return _cumulative_stats(w, z1, sigma2)
 
 
+def _rows_block(cfg: ExperimentConfig, reps: range) -> list[dict]:
+    """Raw rows of a block of replicates (a pure function of (cfg, reps))."""
+    if cfg.experiment == "test_power":
+        return _rows_test_power(cfg, reps)
+    keys = [(cfg.seed, rep) for rep in reps]
+    cum_gram, cum_mom = _simulate_cumulants(
+        cfg.kernel, cfg.theta, max(cfg.sample_sizes), keys
+    )
+    worker = _WORKERS[cfg.experiment]
+    return [
+        row
+        for k, rep in enumerate(reps)
+        for row in worker(cfg, rep, cum_gram[k], cum_mom[k])
+    ]
+
+
 # ---------------------------------------------------------------------------
-# Per-replicate workers (pure functions of (cfg, rep))
+# Per-replicate rows from running statistics
 # ---------------------------------------------------------------------------
 
 
-def _rows_consistency(cfg: ExperimentConfig, rep: int) -> list[dict]:
+def _rows_consistency(cfg: ExperimentConfig, rep: int, cum_gram, cum_mom) -> list[dict]:
     th = np.array(cfg.theta)
-    cum_gram, cum_mom = _simulate_cumulants(cfg, rep)
     idx = np.array(cfg.sample_sizes) - 1
     that, _, ok = _solve_gram(cum_gram[idx], cum_mom[idx])
     rows = []
@@ -344,9 +330,8 @@ def _rows_consistency(cfg: ExperimentConfig, rep: int) -> list[dict]:
     return rows
 
 
-def _rows_clt(cfg: ExperimentConfig, rep: int) -> list[dict]:
+def _rows_clt(cfg: ExperimentConfig, rep: int, cum_gram, cum_mom) -> list[dict]:
     th = np.array(cfg.theta)
-    cum_gram, cum_mom = _simulate_cumulants(cfg, rep)
     idx = np.array(cfg.sample_sizes) - 1
     that, _, ok = _solve_gram(cum_gram[idx], cum_mom[idx])
     rows = []
@@ -360,61 +345,46 @@ def _rows_clt(cfg: ExperimentConfig, rep: int) -> list[dict]:
     return rows
 
 
-def _rows_test_size(cfg: ExperimentConfig, rep: int) -> list[dict]:
+def _test_row(rep: int, n: int, ok, that, th0, gram, crit: float) -> dict:
+    row = {"replicate": rep, "n": int(n), "ok": int(ok), "statistic": None, "reject": None}
+    if ok:
+        d = that - th0
+        stat = max(float(d @ gram @ d), 0.0)
+        row["statistic"] = stat
+        row["reject"] = int(stat >= crit)
+    return row
+
+
+def _rows_test_size(cfg: ExperimentConfig, rep: int, cum_gram, cum_mom) -> list[dict]:
     th0 = np.array(cfg.theta)
     crit = float(chdtri(cfg.p, cfg.alpha))
-    cum_gram, cum_mom = _simulate_cumulants(cfg, rep)
     idx = np.array(cfg.sample_sizes) - 1
     that, _, ok = _solve_gram(cum_gram[idx], cum_mom[idx])
-    rows = []
-    for c, n in enumerate(cfg.sample_sizes):
-        row = {
-            "replicate": rep,
-            "n": int(n),
-            "ok": int(ok[c]),
-            "statistic": None,
-            "reject": None,
-        }
-        if ok[c]:
-            d = that[c] - th0
-            stat = max(float(d @ cum_gram[idx[c]] @ d), 0.0)
-            row["statistic"] = stat
-            row["reject"] = int(stat >= crit)
-        rows.append(row)
-    return rows
+    return [
+        _test_row(rep, n, ok[c], that[c], th0, cum_gram[idx[c]], crit)
+        for c, n in enumerate(cfg.sample_sizes)
+    ]
 
 
-def _rows_test_power(cfg: ExperimentConfig, rep: int) -> list[dict]:
+def _rows_test_power(cfg: ExperimentConfig, reps: range) -> list[dict]:
+    """Under the local alternative the simulated theta depends on n, so each
+    size index c simulates the block afresh from substreams (seed, c, rep)."""
     th0 = np.array(cfg.theta)
     u = np.array(cfg.shift)
     crit = float(chdtri(cfg.p, cfg.alpha))
     rows = []
     for c, n in enumerate(cfg.sample_sizes):
-        theta_sim = th0 + u / math.sqrt(n)
-        eps = rng.standard_normals(rng.substream(cfg.seed, c, rep), n)
-        w, z1, sigma2 = _score_arrays(theta_sim, cfg.kernel, eps)
-        cum_gram, cum_mom = _cumulative_stats(w, z1, sigma2)
-        that, _, ok = _solve_gram(cum_gram[-1:], cum_mom[-1:])
-        row = {
-            "replicate": rep,
-            "n": int(n),
-            "ok": int(ok[0]),
-            "statistic": None,
-            "reject": None,
-        }
-        if ok[0]:
-            d = that[0] - th0
-            stat = max(float(d @ cum_gram[n - 1] @ d), 0.0)
-            row["statistic"] = stat
-            row["reject"] = int(stat >= crit)
-        rows.append(row)
+        keys = [(cfg.seed, c, rep) for rep in reps]
+        cum_gram, cum_mom = _simulate_cumulants(cfg.kernel, th0 + u / math.sqrt(n), n, keys)
+        for k, rep in enumerate(reps):
+            that, _, ok = _solve_gram(cum_gram[k, -1:], cum_mom[k, -1:])
+            rows.append(_test_row(rep, n, ok[0], that[0], th0, cum_gram[k, n - 1], crit))
     return rows
 
 
-def _rows_lan_remainder(cfg: ExperimentConfig, rep: int) -> list[dict]:
+def _rows_lan_remainder(cfg: ExperimentConfig, rep: int, cum_gram, cum_mom) -> list[dict]:
     u = np.array(cfg.shift)
     info = fisher_info(cfg.theta)
-    cum_gram, _ = _simulate_cumulants(cfg, rep)
     idx = np.array(cfg.sample_sizes) - 1
     rows = []
     for c, n in enumerate(cfg.sample_sizes):
@@ -424,9 +394,8 @@ def _rows_lan_remainder(cfg: ExperimentConfig, rep: int) -> list[dict]:
     return rows
 
 
-def _rows_qsl(cfg: ExperimentConfig, rep: int) -> list[dict]:
+def _rows_qsl(cfg: ExperimentConfig, rep: int, cum_gram, cum_mom) -> list[dict]:
     th = np.array(cfg.theta)
-    cum_gram, cum_mom = _simulate_cumulants(cfg, rep)
     that, _, ok = _solve_gram(cum_gram, cum_mom)
     if not ok.any():
         return [
@@ -452,12 +421,11 @@ def _rows_qsl(cfg: ExperimentConfig, rep: int) -> list[dict]:
     return rows
 
 
-def _rows_lil(cfg: ExperimentConfig, rep: int) -> list[dict]:
+def _rows_lil(cfg: ExperimentConfig, rep: int, cum_gram, cum_mom) -> list[dict]:
     th = np.array(cfg.theta)
     v = np.array(cfg.direction) if cfg.direction is not None else _unit_vector(cfg.p)
     n_max = max(cfg.sample_sizes)
     n_min = min(cfg.sample_sizes)
-    cum_gram, cum_mom = _simulate_cumulants(cfg, rep)
     that, _, ok = _solve_gram(cum_gram, cum_mom)
     ks = np.arange(1, n_max + 1)
     valid = ok & (ks >= max(16, n_min))
@@ -486,14 +454,14 @@ def _unit_vector(p: int) -> np.ndarray:
     return v
 
 
-_WORKERS: dict[str, Callable[[ExperimentConfig, int], list[dict]]] = {
+#: Rows of one replicate from its running statistics (all but test_power).
+_WORKERS: dict[str, Callable[..., list[dict]]] = {
     "consistency": _rows_consistency,
     "clt": _rows_clt,
     "qsl": _rows_qsl,
     "lil": _rows_lil,
     "lan_remainder": _rows_lan_remainder,
     "test_size": _rows_test_size,
-    "test_power": _rows_test_power,
 }
 
 
@@ -696,28 +664,23 @@ def run_experiment(
 ) -> ExperimentReport:
     """Run the configured experiment and return its report.
 
-    ``jobs > 1`` distributes replicates over a process pool; results are
-    merged in replicate order, so reports are identical for any job count.
+    Replicates run in blocks, each simulated in one pass; ``jobs > 1``
+    distributes the blocks over a process pool. The partition into blocks
+    depends on the config alone and rows are merged in replicate order, so
+    reports are identical for any job count.
     """
     cfg.validate()
     t0 = time.perf_counter()
-    worker = _WORKERS[cfg.experiment]
     reps = cfg.replicates
+    size = _block_size(cfg)
+    blocks = [range(start, min(start + size, reps)) for start in range(0, reps, size)]
     tick = max(1, reps // 10)
     chunks: list[list[dict]] = []
-    if jobs <= 1:
-        for r in range(reps):
-            chunks.append(worker(cfg, r))
+    for block, result in zip(blocks, _map_blocks(partial(_rows_block, cfg), blocks, jobs)):
+        chunks.append(result)
+        for r in block:
             if progress is not None and (r + 1) % tick == 0:
                 progress(f"[{cfg.experiment}] replicate {r + 1}/{reps}")
-    else:
-        fn = partial(_call_worker, cfg)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunksize = max(1, reps // (4 * jobs))
-            for r, result in enumerate(pool.map(fn, range(reps), chunksize=chunksize)):
-                chunks.append(result)
-                if progress is not None and (r + 1) % tick == 0:
-                    progress(f"[{cfg.experiment}] replicate {r + 1}/{reps}")
     rows = sorted(chain.from_iterable(chunks), key=lambda r: (r["replicate"], r["n"]))
     per_n, summary = aggregate(cfg, rows)
     failures = sum(1 for r in rows if not r["ok"])
@@ -737,5 +700,10 @@ def run_experiment(
     return report
 
 
-def _call_worker(cfg: ExperimentConfig, rep: int) -> list[dict]:
-    return _WORKERS[cfg.experiment](cfg, rep)
+def _map_blocks(fn, blocks: list[range], jobs: int):
+    """Yield fn(block) in block order, in process or over a pool of ``jobs``."""
+    if jobs <= 1:
+        yield from map(fn, blocks)
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield from pool.map(fn, blocks)

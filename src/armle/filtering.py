@@ -15,12 +15,19 @@ The whitened innovations of a path xi are
 
 Everything is O(n) memory in streaming form; materializing all rows
 (`kernel_rows`) costs O(n^2).
+
+The stream depends on the kernel and n only, never on data. `_generate` and
+`_whiten` therefore apply one walk to every series of a batch at once (time
+along the last axis), and the Markov kernels (white, ar1) skip the walk for
+their O(n) closed form.
 """
 from __future__ import annotations
 
+import math
 from typing import Iterator, NamedTuple
 
 import numpy as np
+import scipy.signal
 
 from .exceptions import NotPositiveDefinite
 from .noise import CovarianceKernel, covariance
@@ -28,6 +35,9 @@ from .noise import CovarianceKernel, covariance
 #: Floor under which a one-step prediction variance (or the factor
 #: 1 - beta_n**2 producing it) is treated as numerically degenerate.
 VARIANCE_FLOOR = 1e-12
+
+#: Kernel families whose filter has a closed form (no stream walk).
+MARKOV_FAMILIES = ("white", "ar1")
 
 
 class StreamStep(NamedTuple):
@@ -53,10 +63,10 @@ def _check_positive(beta: float, sigma2: float, step: int) -> float:
 
 
 def _stream(kernel: CovarianceKernel, n: int) -> Iterator[StreamStep]:
-    """Yield filter steps 1..n with O(n) memory (single shared row buffer)."""
+    """Yield filter steps 1..n with O(n) memory (two row buffers, alternating)."""
     if n < 1:
         return
-    row = np.empty(n)
+    row, spare = np.empty((2, n))
     row[0] = 1.0
     rvals = np.empty(max(n - 1, 1))
     sigma2 = 1.0
@@ -66,11 +76,86 @@ def _stream(kernel: CovarianceKernel, n: int) -> Iterator[StreamStep]:
         beta = float(row[: m - 1] @ rvals[: m - 1]) / sigma2
         sigma2 = _check_positive(beta, sigma2, m)
         if m > 2:
-            body = row[: m - 2] - beta * row[m - 3 :: -1]
-            row[1 : m - 1] = body
+            body = spare[1 : m - 1]
+            np.multiply(row[m - 3 :: -1], beta, out=body)
+            np.subtract(row[: m - 2], body, out=body)
+        row, spare = spare, row
         row[m - 1] = 1.0
         row[0] = -beta
         yield StreamStep(m, row[:m], beta, sigma2)
+
+
+def _markov(kernel: CovarianceKernel, n: int) -> tuple[float, np.ndarray] | None:
+    """Closed-form filter of a Markov kernel: (a, sigma_1..sigma_n), else None.
+
+    For ar1 (and white, the case a = 0) beta_1 = a and beta_m = 0 afterwards,
+    so every row from the second on is (0, ..., 0, -a, 1) and
+    sigma_m = sqrt(1 - a**2) for m >= 2.
+    """
+    if kernel.family not in MARKOV_FAMILIES:
+        return None
+    a = kernel.a if kernel.family == "ar1" else 0.0
+    sigma = np.ones(n)
+    if n > 1:
+        sigma[1:] = math.sqrt(_check_positive(a, 1.0, 2))
+    return a, sigma
+
+
+def _generate(kernel: CovarianceKernel, eps: np.ndarray) -> np.ndarray:
+    """Map innovations eps, shape (..., n), to stationary paths of the same shape.
+
+    Inverts the whitening map along the last axis,
+    xi_m = sigma_m * eps_m - sum_{i<m} k(m, i) * xi_i,
+    with one stream walk for all leading indices.
+    """
+    eps = np.asarray(eps, dtype=float)
+    n = eps.shape[-1]
+    markov = _markov(kernel, n)
+    if markov is not None:
+        a, sigma = markov
+        return scipy.signal.lfilter([1.0], [1.0, -a], sigma * eps)
+    xi = np.empty_like(eps)
+    # Time-first views: xi_t[:i] is the (i, R) slab the row multiplies.
+    xi_t, eps_t = xi.T, eps.T
+    for step in _stream(kernel, n):
+        i = step.index - 1
+        xi_t[i] = math.sqrt(step.sigma2) * eps_t[i] - step.row[:i] @ xi_t[:i]
+    return xi
+
+
+def _whiten(
+    kernel: CovarianceKernel, x: np.ndarray, p: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Whitened lags of observations x, shape (..., n), along the last axis.
+
+    Returns (z, sigma2, pacf): ``z[..., m-1, j] = sum_{i<=m} k(m, i) x_{i-j}``
+    (x_k = 0 for k <= 0), shape (..., n, p); sigma_1**2..sigma_n**2; and
+    pacf[m] = beta_m for 1 <= m <= n-1 with pacf[0] = 0.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    z = np.zeros(x.shape + (p,))
+    pacf = np.zeros(n)
+    markov = _markov(kernel, n)
+    if markov is not None:
+        a, sigma = markov
+        pacf[1:2] = a
+        for j in range(min(p, n)):
+            z[..., j, j] = x[..., 0]
+            # x_m - a x_{m-1}, summed in place.
+            lag = z[..., j + 1 :, j]
+            np.multiply(x[..., : n - j - 1], -a, out=lag)
+            lag += x[..., 1 : n - j]
+        return z, sigma**2, pacf
+    sigma2 = np.empty(n)
+    x_t, z_t = x.T, np.moveaxis(z, (-2, -1), (0, 1))
+    for step in _stream(kernel, n):
+        m = step.index
+        sigma2[m - 1] = step.sigma2
+        pacf[m - 1] = step.beta_prev
+        for j in range(min(p, m)):
+            z_t[m - 1, j] = step.row[j:] @ x_t[: m - j]
+    return z, sigma2, pacf
 
 
 def kernel_rows(kernel: CovarianceKernel, n: int) -> np.ndarray:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionMismatch, TooShort
-from .filtering import _stream
+from .filtering import _whiten
 from .noise import CovarianceKernel
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -85,28 +85,35 @@ def filter_observations(x, kernel: CovarianceKernel, p: int) -> FilteredPath:
     p = int(p)
     if p < 1:
         raise ValueError("p must be at least 1")
+    if x.ndim != 1:
+        raise ValueError("observations must be a 1-d series")
     n = x.size
     if n < p + 1:
         raise TooShort(f"need at least p + 1 = {p + 1} observations, got {n}")
     if not np.all(np.isfinite(x)):
         raise ValueError("observations must be finite")
-    z = np.zeros((n, p))
-    carry = np.zeros((n, p))
-    sigma2 = np.empty(n)
-    pacf = np.zeros(n)
-    for step in _stream(kernel, n):
-        m = step.index
-        i = m - 1
-        sigma2[i] = step.sigma2
-        pacf[i] = step.beta_prev
-        row = step.row
-        for j in range(min(p, m)):
-            z[i, j] = row[j:] @ x[: m - j]
-        if m >= 2:
-            carry[i] = carry[i - 1] + pacf[i] * z[i - 1]
+    z, sigma2, pacf = _whiten(kernel, x, p)
     return FilteredPath(
-        states=np.hstack([z, carry]), sigma2=sigma2, pacf=pacf, p=p
+        states=np.hstack([z, _carry(z, pacf)]), sigma2=sigma2, pacf=pacf, p=p
     )
+
+
+def _carry(z: np.ndarray, pacf: np.ndarray) -> np.ndarray:
+    """Second state block sum_{k<m} beta_k Z_k of whitened lags z, shape (..., n, p)."""
+    carry = np.zeros_like(z)
+    body = carry[..., 1:, :]
+    np.multiply(pacf[1:, None], z[..., :-1, :], out=body)
+    np.cumsum(body, axis=-2, out=body)
+    return carry
+
+
+def _weights(z: np.ndarray, carry: np.ndarray, pacf: np.ndarray) -> np.ndarray:
+    """Score weights w_m = Z_{m-1} + beta_{m-1} * carry_{m-1} and w_1 = 0, shape (..., n, p)."""
+    w = np.zeros_like(z)
+    body = w[..., 1:, :]
+    np.multiply(pacf[1:, None], carry[..., :-1, :], out=body)
+    body += z[..., :-1, :]
+    return w
 
 
 def score_weights(path: FilteredPath) -> np.ndarray:
@@ -115,12 +122,7 @@ def score_weights(path: FilteredPath) -> np.ndarray:
     w_m combines the previous state's two blocks with beta_{m-1}:
     w_m = zeta_{m-1}[:p] + beta_{m-1} * zeta_{m-1}[p:].
     """
-    p = path.p
-    w = np.zeros((path.n, p))
-    if path.n > 1:
-        prev = path.states[:-1]
-        w[1:] = prev[:, :p] + path.pacf[1:, None] * prev[:, p:]
-    return w
+    return _weights(path.whitened, path.states[:, path.p :], path.pacf)
 
 
 def innovations(path: FilteredPath, theta) -> np.ndarray:

@@ -15,7 +15,7 @@ from armle import (
     run_experiment,
     white,
 )
-from armle.experiments import _cumulative_stats, _score_arrays
+from armle.experiments import _block_size, _cumulative_stats, _simulate_block
 from armle.inference import _solve_gram
 
 
@@ -44,21 +44,27 @@ def _base_cfg(**kw):
 def test_score_arrays_match_public_route(kernel, theta):
     p = len(theta)
     n = 120
-    eps = armle.standard_normals(armle.substream(42, 0), n)
-    w, z1, sigma2 = _score_arrays(np.array(theta), kernel, eps)
-    xi = armle.noise_from_innovations(kernel, eps)
-    x = armle.apply_ar(theta, xi)
-    path = armle.filter_observations(x, kernel, p)
-    np.testing.assert_allclose(w, armle.score_weights(path), rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(z1, path.states[:, 0], rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(sigma2, path.sigma2, rtol=1e-12)
-    acc = armle.gram_moment(path)
+    eps = np.stack([armle.standard_normals(armle.substream(42, r), n) for r in range(5)])
+    w, z1, sigma2 = _simulate_block(np.array(theta), kernel, eps)
     cum_gram, cum_mom = _cumulative_stats(w, z1, sigma2)
-    np.testing.assert_allclose(cum_gram[-1], acc.gram, rtol=1e-11, atol=1e-12)
-    np.testing.assert_allclose(cum_mom[-1], acc.moment, rtol=1e-11, atol=1e-12)
-    theta_hat, _, ok = _solve_gram(cum_gram[-1:], cum_mom[-1:])
-    assert ok[0]
-    np.testing.assert_allclose(theta_hat[0], armle.mle(path).theta_hat, rtol=1e-9)
+    for r in range(5):
+        xi = armle.noise_from_innovations(kernel, eps[r])
+        x = armle.apply_ar(theta, xi)
+        path = armle.filter_observations(x, kernel, p)
+        np.testing.assert_allclose(w[r], armle.score_weights(path), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(z1[r], path.states[:, 0], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(sigma2, path.sigma2, rtol=1e-12)
+        acc = armle.gram_moment(path)
+        np.testing.assert_allclose(cum_gram[r, -1], acc.gram, rtol=1e-11, atol=1e-12)
+        np.testing.assert_allclose(cum_mom[r, -1], acc.moment, rtol=1e-11, atol=1e-12)
+        theta_hat, _, ok = _solve_gram(cum_gram[r, -1:], cum_mom[r, -1:])
+        assert ok[0]
+        np.testing.assert_allclose(theta_hat[0], armle.mle(path).theta_hat, rtol=1e-9)
+    # A replicate simulated alone agrees with the same replicate inside the
+    # block to rounding (BLAS may sum a batch of one in another order).
+    w3, z3, _ = _simulate_block(np.array(theta), kernel, eps[3:4])
+    assert np.linalg.norm(w3[0] - w[3]) <= 1e-12 * np.linalg.norm(w[3])
+    assert np.linalg.norm(z3[0] - z1[3]) <= 1e-12 * np.linalg.norm(z1[3])
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +131,23 @@ def test_report_deterministic_and_job_independent():
         b.pop("runtime_seconds")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
         assert r1.rows == other.rows
+
+
+def test_report_job_independent_across_blocks():
+    # Replicates span several blocks, the last one partial.
+    cfg = _base_cfg(
+        experiment="test_size", kernel=fgn(0.7), sample_sizes=(2048,), replicates=131
+    )
+    assert _block_size(cfg) == 64
+    ref = run_experiment(cfg, jobs=1)
+    expected = ref.to_json_dict()
+    expected.pop("runtime_seconds")
+    for jobs in (2, 3):
+        other = run_experiment(cfg, jobs=jobs)
+        assert other.rows == ref.rows
+        got = other.to_json_dict()
+        got.pop("runtime_seconds")
+        assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 def test_aggregate_recomputable_from_rows():

@@ -114,18 +114,31 @@ def test_pacf_and_variances_validates_n():
 
 @pytest.mark.parametrize(
     "kernel",
-    [fgn(0.05), fgn(0.95), fgn(0.999), ar1(-0.99), ar1(0.99)],
+    [
+        white(),
+        ar1(0.5),
+        ar1(-0.5),
+        fgn(0.05),
+        fgn(0.95),
+        fgn(0.999),
+        ar1(-0.99),
+        ar1(0.99),
+    ],
     ids=lambda k: k.label(),
 )
 def test_whitening_matches_dense_cholesky_at_large_n(kernel):
     # Levinson-Durbin is weakly stable (Cybenko 1980): its error against the
     # dense triangular solve L^{-1} x grows with the condition number of T_n.
+    # White and ar1 kernels run the closed form, which must meet the same bound.
     n = 2000
     cov = dense_covariance(kernel, n)
     chol = np.linalg.cholesky(cov)
-    x = chol @ armle.standard_normals(armle.substream(3), n)
+    innov = armle.standard_normals(armle.substream(3), n)
+    x = chol @ innov
     expected = scipy.linalg.solve_triangular(chol, x, lower=True)
     eps, _ = _whiten(x, kernel)
     evals = np.linalg.eigvalsh(cov)
-    kappa = evals[-1] / evals[0]
-    assert np.max(np.abs(eps - expected)) <= 16.0 * kappa * 2.0**-52
+    bound = 16.0 * evals[-1] / evals[0] * 2.0**-52
+    assert np.max(np.abs(eps - expected)) <= bound
+    # Generating direction: the sampled path is L eps.
+    assert np.max(np.abs(armle.noise_from_innovations(kernel, innov) - x)) <= bound

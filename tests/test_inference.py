@@ -79,19 +79,30 @@ def test_singular_gram_on_degenerate_data():
     assert err.value.cond == math.inf or err.value.cond > 1e12
 
 
-def test_lr_statistic_identities():
-    theta0 = (0.3,)
-    path, _ = _fit(ar1(0.5), theta0, 500, seed=5)
-    stat = lr_statistic(path, theta0)
-    assert stat >= 0.0
-    acc, score = accumulate(path, theta0)
-    quad = float(score @ np.linalg.solve(acc.gram, score))
-    assert stat == pytest.approx(quad, rel=1e-8, abs=1e-10)
-    result = mle(path)
-    loglik_diff = 2.0 * (
-        log_likelihood(path, result.theta_hat) - log_likelihood(path, theta0)
-    )
-    assert stat == pytest.approx(loglik_diff, rel=1e-8, abs=1e-10)
+@pytest.fixture(scope="module")
+def large_paths():
+    """Paths at n = 10**4 on a Markov and a long-memory kernel, p = 1 and 3."""
+    out = []
+    for kernel in (ar1(0.5), fgn(0.7)):
+        for seed, theta in enumerate([(0.3,), (0.3, 0.2, -0.1)]):
+            path, _ = _fit(kernel, theta, 10_000, seed=40 + seed)
+            out.append((path, theta))
+    return out
+
+
+def test_lr_statistic_identities(large_paths):
+    small, _ = _fit(ar1(0.5), (0.3,), 500, seed=5)
+    for path, theta0 in [(small, (0.3,))] + large_paths:
+        stat = lr_statistic(path, theta0)
+        assert stat >= 0.0
+        acc, score = accumulate(path, theta0)
+        quad = float(score @ np.linalg.solve(acc.gram, score))
+        assert stat == pytest.approx(quad, rel=1e-8, abs=1e-10)
+        result = mle(path)
+        loglik_diff = 2.0 * (
+            log_likelihood(path, result.theta_hat) - log_likelihood(path, theta0)
+        )
+        assert stat == pytest.approx(loglik_diff, rel=1e-8, abs=1e-10)
 
 
 def test_lr_statistic_zero_at_mle():
@@ -215,7 +226,15 @@ def test_solve_gram_flags_singular():
     np.testing.assert_array_equal(theta[2], [0.5, 1.0])
 
 
-def test_lan_identity_exact():
+def _check_lan_identity(path, theta0, u):
+    score_term, info_term, remainder = lan_decomposition(path, theta0, u)
+    lhs = log_likelihood(path, theta0 + u / math.sqrt(path.n)) - log_likelihood(
+        path, theta0
+    )
+    assert lhs == pytest.approx(score_term + info_term + remainder, abs=1e-9)
+
+
+def test_lan_identity_exact(large_paths):
     gen = np.random.default_rng(31)
     for _ in range(25):
         p = int(gen.integers(1, 4))
@@ -227,11 +246,9 @@ def test_lan_identity_exact():
         u = gen.uniform(-0.5, 0.5, size=p)
         if not armle.is_stable(theta0 + u / math.sqrt(n)):
             continue
-        score_term, info_term, remainder = lan_decomposition(path, theta0, u)
-        lhs = log_likelihood(path, theta0 + u / math.sqrt(n)) - log_likelihood(
-            path, theta0
-        )
-        assert lhs == pytest.approx(score_term + info_term + remainder, abs=1e-9)
+        _check_lan_identity(path, theta0, u)
+    for path, theta in large_paths:
+        _check_lan_identity(path, np.array(theta), gen.uniform(-0.5, 0.5, size=len(theta)))
 
 
 def test_lan_zero_direction():
