@@ -7,8 +7,11 @@ summary line per experiment is printed at the end, with the headline number
 of that experiment (consistency slope, covariance error, rejection rates,
 trace ratio, envelope share, remainder trend).
 
-The full battery at the shipped settings takes a few minutes on one core;
-pass --jobs to parallelize over replicates, which does not change any output.
+The full battery at the shipped settings takes about 3 s on one core.
+--jobs maps the blocks of replicates of each config (up to 64 replicates per
+block) over that many worker processes, which does not change any output. A
+config whose replicates fit in one block runs on one worker whatever --jobs
+says; both fGn configs are like that.
 """
 import argparse
 import json
@@ -66,7 +69,9 @@ def main(argv=None) -> int:
         default=Path("verification_out"),
         help="output directory (one subdirectory per experiment)",
     )
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes")
+    parser.add_argument(
+        "--jobs", type=int, default=1, help="worker processes over blocks of replicates"
+    )
     parser.add_argument(
         "--only",
         nargs="*",

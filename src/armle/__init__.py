@@ -53,18 +53,15 @@ from .inference import (
 )
 from .noise import (
     CovarianceKernel,
-    NoisePath,
     ValidationReport,
     ar1,
     covariance,
     fgn,
     kernel_from_json,
-    kernel_to_json,
     noise_from_innovations,
     sample_noise,
     validate_kernel,
     white,
-    write_noise_csv,
 )
 from .rng import standard_normals, substream
 from .state import (
@@ -76,7 +73,6 @@ from .state import (
     innovations,
     log_likelihood,
     score_weights,
-    write_state_csv,
 )
 
 __version__ = "0.1.0"
@@ -92,7 +88,6 @@ __all__ = [
     "ExperimentReport",
     "FilteredPath",
     "GRAM_CONDITION_CAP",
-    "NoisePath",
     "NotPositiveDefinite",
     "STABILITY_MARGIN",
     "ScoreAccumulator",
@@ -120,7 +115,6 @@ __all__ = [
     "is_stable",
     "kernel_from_json",
     "kernel_rows",
-    "kernel_to_json",
     "lan_decomposition",
     "log_likelihood",
     "lr_statistic",
@@ -137,6 +131,4 @@ __all__ = [
     "substream",
     "validate_kernel",
     "white",
-    "write_noise_csv",
-    "write_state_csv",
 ]

@@ -101,5 +101,4 @@ def simulate_series(theta, kernel: CovarianceKernel, n: int, seed: int) -> np.nd
     from .noise import sample_noise
 
     th = require_stable(theta)
-    path = sample_noise(kernel, n, seed)
-    return apply_ar(th, path.values)
+    return apply_ar(th, sample_noise(kernel, n, seed))

@@ -20,14 +20,18 @@ Available experiments, all driven by one :class:`ExperimentConfig`:
     a local alternative theta + shift/sqrt(n), against its chi-square and
     noncentral chi-square calibration.
 
-Replicate r draws its innovations from substream (seed, r); ``test_power``
-uses (seed, size_index, r) because the simulated parameter depends on n.
-Replicates are simulated in blocks that share one pass of the innovations
-filter. Multi-size experiments evaluate snapshots of the running Gram/moment
-along a single trajectory per replicate. Failed replicates (singular Gram) are
-recorded, excluded from aggregates and counted; a report passes only when the
-failure rate stays within 1 percent. Aggregates are recomputable from the raw
-rows and are bit-identical under any replicate execution order.
+Each experiment is declared once, in ``_TABLE``: a rows function, which turns
+one replicate's running Gram/moment into raw rows at the sample sizes of a
+simulation, and an aggregate function over the ok rows of each n. Everything
+else is shared. ``_draws`` lists the simulations of a block: one trajectory
+per replicate from substream (seed, r), evaluated at every sample size, or,
+for ``test_power`` whose simulated parameter depends on n, one per size index
+c from (seed, c, r). Replicates are simulated in blocks that share one pass of
+the innovations filter. The raw.csv header is the keys of the first row.
+Failed replicates (singular Gram) are recorded, excluded from aggregates and
+counted; a report passes only when the failure rate stays within 1 percent.
+Aggregates are recomputable from the raw rows and are bit-identical under any
+replicate execution order.
 """
 from __future__ import annotations
 
@@ -52,16 +56,6 @@ from .filtering import MARKOV_FAMILIES, _generate, _whiten
 from .inference import _solve_gram
 from .noise import CovarianceKernel, kernel_from_json, validate_kernel
 from .state import _carry, _weights
-
-EXPERIMENTS = (
-    "consistency",
-    "clt",
-    "qsl",
-    "lil",
-    "lan_remainder",
-    "test_size",
-    "test_power",
-)
 
 #: A report passes when at most this fraction of raw rows failed.
 FAILURE_BUDGET = 0.01
@@ -292,20 +286,32 @@ def _simulate_cumulants(kernel: CovarianceKernel, theta, n: int, keys):
     return _cumulative_stats(w, z1, sigma2)
 
 
+def _draws(cfg: ExperimentConfig) -> list[tuple]:
+    """The simulations of one block: (theta, n, substream prefix, sample sizes).
+
+    One trajectory per replicate serves every sample size, except under the
+    local alternative of ``test_power``, whose simulated theta depends on n:
+    there each size index c simulates afresh from substreams (seed, c, rep).
+    """
+    if cfg.experiment != "test_power":
+        return [(cfg.theta, max(cfg.sample_sizes), (cfg.seed,), cfg.sample_sizes)]
+    th0, u = np.array(cfg.theta), np.array(cfg.shift)
+    return [
+        (th0 + u / math.sqrt(n), n, (cfg.seed, c), (n,))
+        for c, n in enumerate(cfg.sample_sizes)
+    ]
+
+
 def _rows_block(cfg: ExperimentConfig, reps: range) -> list[dict]:
     """Raw rows of a block of replicates (a pure function of (cfg, reps))."""
-    if cfg.experiment == "test_power":
-        return _rows_test_power(cfg, reps)
-    keys = [(cfg.seed, rep) for rep in reps]
-    cum_gram, cum_mom = _simulate_cumulants(
-        cfg.kernel, cfg.theta, max(cfg.sample_sizes), keys
-    )
-    worker = _WORKERS[cfg.experiment]
-    return [
-        row
-        for k, rep in enumerate(reps)
-        for row in worker(cfg, rep, cum_gram[k], cum_mom[k])
-    ]
+    rows_of = _TABLE[cfg.experiment][0]
+    rows = []
+    for theta, n, prefix, sizes in _draws(cfg):
+        keys = [prefix + (rep,) for rep in reps]
+        cum_gram, cum_mom = _simulate_cumulants(cfg.kernel, theta, n, keys)
+        for k, rep in enumerate(reps):
+            rows += rows_of(cfg, rep, sizes, cum_gram[k], cum_mom[k])
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -313,12 +319,18 @@ def _rows_block(cfg: ExperimentConfig, reps: range) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _rows_consistency(cfg: ExperimentConfig, rep: int, cum_gram, cum_mom) -> list[dict]:
-    th = np.array(cfg.theta)
-    idx = np.array(cfg.sample_sizes) - 1
+def _estimates(sizes, cum_gram, cum_mom):
+    """(theta_hat, ok) of one replicate at the sample sizes."""
+    idx = np.array(sizes) - 1
     that, _, ok = _solve_gram(cum_gram[idx], cum_mom[idx])
+    return that, ok
+
+
+def _rows_consistency(cfg: ExperimentConfig, rep: int, sizes, cum_gram, cum_mom) -> list[dict]:
+    th = np.array(cfg.theta)
+    that, ok = _estimates(sizes, cum_gram, cum_mom)
     rows = []
-    for c, n in enumerate(cfg.sample_sizes):
+    for c, n in enumerate(sizes):
         row = {"replicate": rep, "n": int(n), "ok": int(ok[c]), "err": None}
         for j in range(cfg.p):
             row[f"theta_hat_{j + 1}"] = None
@@ -330,12 +342,11 @@ def _rows_consistency(cfg: ExperimentConfig, rep: int, cum_gram, cum_mom) -> lis
     return rows
 
 
-def _rows_clt(cfg: ExperimentConfig, rep: int, cum_gram, cum_mom) -> list[dict]:
+def _rows_clt(cfg: ExperimentConfig, rep: int, sizes, cum_gram, cum_mom) -> list[dict]:
     th = np.array(cfg.theta)
-    idx = np.array(cfg.sample_sizes) - 1
-    that, _, ok = _solve_gram(cum_gram[idx], cum_mom[idx])
+    that, ok = _estimates(sizes, cum_gram, cum_mom)
     rows = []
-    for c, n in enumerate(cfg.sample_sizes):
+    for c, n in enumerate(sizes):
         row = {"replicate": rep, "n": int(n), "ok": int(ok[c])}
         for j in range(cfg.p):
             row[f"scaled_{j + 1}"] = (
@@ -345,142 +356,90 @@ def _rows_clt(cfg: ExperimentConfig, rep: int, cum_gram, cum_mom) -> list[dict]:
     return rows
 
 
-def _test_row(rep: int, n: int, ok, that, th0, gram, crit: float) -> dict:
-    row = {"replicate": rep, "n": int(n), "ok": int(ok), "statistic": None, "reject": None}
-    if ok:
-        d = that - th0
-        stat = max(float(d @ gram @ d), 0.0)
-        row["statistic"] = stat
-        row["reject"] = int(stat >= crit)
-    return row
-
-
-def _rows_test_size(cfg: ExperimentConfig, rep: int, cum_gram, cum_mom) -> list[dict]:
+def _rows_test(cfg: ExperimentConfig, rep: int, sizes, cum_gram, cum_mom) -> list[dict]:
+    """LR statistic d^T gram d against the null theta, d = theta_hat - theta."""
     th0 = np.array(cfg.theta)
     crit = float(chdtri(cfg.p, cfg.alpha))
-    idx = np.array(cfg.sample_sizes) - 1
-    that, _, ok = _solve_gram(cum_gram[idx], cum_mom[idx])
-    return [
-        _test_row(rep, n, ok[c], that[c], th0, cum_gram[idx[c]], crit)
-        for c, n in enumerate(cfg.sample_sizes)
-    ]
-
-
-def _rows_test_power(cfg: ExperimentConfig, reps: range) -> list[dict]:
-    """Under the local alternative the simulated theta depends on n, so each
-    size index c simulates the block afresh from substreams (seed, c, rep)."""
-    th0 = np.array(cfg.theta)
-    u = np.array(cfg.shift)
-    crit = float(chdtri(cfg.p, cfg.alpha))
+    that, ok = _estimates(sizes, cum_gram, cum_mom)
     rows = []
-    for c, n in enumerate(cfg.sample_sizes):
-        keys = [(cfg.seed, c, rep) for rep in reps]
-        cum_gram, cum_mom = _simulate_cumulants(cfg.kernel, th0 + u / math.sqrt(n), n, keys)
-        for k, rep in enumerate(reps):
-            that, _, ok = _solve_gram(cum_gram[k, -1:], cum_mom[k, -1:])
-            rows.append(_test_row(rep, n, ok[0], that[0], th0, cum_gram[k, n - 1], crit))
+    for c, n in enumerate(sizes):
+        row = {"replicate": rep, "n": int(n), "ok": int(ok[c]), "statistic": None, "reject": None}
+        if ok[c]:
+            d = that[c] - th0
+            stat = max(float(d @ cum_gram[n - 1] @ d), 0.0)
+            row["statistic"] = stat
+            row["reject"] = int(stat >= crit)
+        rows.append(row)
     return rows
 
 
-def _rows_lan_remainder(cfg: ExperimentConfig, rep: int, cum_gram, cum_mom) -> list[dict]:
+def _rows_lan_remainder(cfg: ExperimentConfig, rep: int, sizes, cum_gram, cum_mom) -> list[dict]:
     u = np.array(cfg.shift)
     info = fisher_info(cfg.theta)
-    idx = np.array(cfg.sample_sizes) - 1
     rows = []
-    for c, n in enumerate(cfg.sample_sizes):
-        gram_over_n = cum_gram[idx[c]] / n
+    for n in sizes:
+        gram_over_n = cum_gram[n - 1] / n
         rem = -0.5 * float(u @ (gram_over_n - info) @ u)
         rows.append({"replicate": rep, "n": int(n), "ok": 1, "remainder": rem})
     return rows
 
 
-def _rows_qsl(cfg: ExperimentConfig, rep: int, cum_gram, cum_mom) -> list[dict]:
+def _rows_qsl(cfg: ExperimentConfig, rep: int, sizes, cum_gram, cum_mom) -> list[dict]:
     th = np.array(cfg.theta)
     that, _, ok = _solve_gram(cum_gram, cum_mom)
     if not ok.any():
         return [
             {"replicate": rep, "n": int(n), "ok": 0, "trace_ratio": None, "k0": None}
-            for n in cfg.sample_sizes
+            for n in sizes
         ]
     k0 = int(np.argmax(ok)) + 1
     err2 = np.where(ok, np.sum((that - th) ** 2, axis=1), 0.0)
     cum_err2 = np.cumsum(err2)
     target = float(np.trace(fisher_info_inverse(th)))
-    rows = []
-    for n in cfg.sample_sizes:
-        ratio = cum_err2[n - 1] / math.log(n) / target
-        rows.append(
-            {
-                "replicate": rep,
-                "n": int(n),
-                "ok": 1,
-                "trace_ratio": float(ratio),
-                "k0": k0,
-            }
-        )
-    return rows
+    return [
+        {
+            "replicate": rep,
+            "n": int(n),
+            "ok": 1,
+            "trace_ratio": float(cum_err2[n - 1] / math.log(n) / target),
+            "k0": k0,
+        }
+        for n in sizes
+    ]
 
 
-def _rows_lil(cfg: ExperimentConfig, rep: int, cum_gram, cum_mom) -> list[dict]:
+def _rows_lil(cfg: ExperimentConfig, rep: int, sizes, cum_gram, cum_mom) -> list[dict]:
     th = np.array(cfg.theta)
-    v = np.array(cfg.direction) if cfg.direction is not None else _unit_vector(cfg.p)
-    n_max = max(cfg.sample_sizes)
-    n_min = min(cfg.sample_sizes)
+    v = _direction(cfg)
     that, _, ok = _solve_gram(cum_gram, cum_mom)
-    ks = np.arange(1, n_max + 1)
-    valid = ok & (ks >= max(16, n_min))
+    ks = np.arange(1, max(sizes) + 1)
+    valid = ok & (ks >= max(16, min(sizes)))
     proj = np.where(ok, (that - th) @ v, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.sqrt(ks / (2.0 * np.log(np.log(np.maximum(ks, 3)))))
     s = np.where(valid, scale * proj, 0.0)
     running = np.maximum.accumulate(np.where(valid, np.abs(s), -np.inf))
-    rows = []
-    for n in cfg.sample_sizes:
-        i = n - 1
-        row = {
+    return [
+        {
             "replicate": rep,
             "n": int(n),
-            "ok": int(valid[i]),
-            "s_n": float(s[i]) if valid[i] else None,
-            "running_max_abs_s": float(running[i]) if np.isfinite(running[i]) else None,
+            "ok": int(valid[n - 1]),
+            "s_n": float(s[n - 1]) if valid[n - 1] else None,
+            "running_max_abs_s": (
+                float(running[n - 1]) if np.isfinite(running[n - 1]) else None
+            ),
         }
-        rows.append(row)
-    return rows
+        for n in sizes
+    ]
 
 
-def _unit_vector(p: int) -> np.ndarray:
-    v = np.zeros(p)
+def _direction(cfg: ExperimentConfig) -> np.ndarray:
+    """The lil projection vector v; the first coordinate unless configured."""
+    if cfg.direction is not None:
+        return np.array(cfg.direction)
+    v = np.zeros(cfg.p)
     v[0] = 1.0
     return v
-
-
-#: Rows of one replicate from its running statistics (all but test_power).
-_WORKERS: dict[str, Callable[..., list[dict]]] = {
-    "consistency": _rows_consistency,
-    "clt": _rows_clt,
-    "qsl": _rows_qsl,
-    "lil": _rows_lil,
-    "lan_remainder": _rows_lan_remainder,
-    "test_size": _rows_test_size,
-}
-
-
-def _columns(cfg: ExperimentConfig) -> list[str]:
-    base = ["replicate", "n", "ok"]
-    p = cfg.p
-    if cfg.experiment == "consistency":
-        return base + ["err"] + [f"theta_hat_{j + 1}" for j in range(p)]
-    if cfg.experiment == "clt":
-        return base + [f"scaled_{j + 1}" for j in range(p)]
-    if cfg.experiment in ("test_size", "test_power"):
-        return base + ["statistic", "reject"]
-    if cfg.experiment == "lan_remainder":
-        return base + ["remainder"]
-    if cfg.experiment == "qsl":
-        return base + ["trace_ratio", "k0"]
-    if cfg.experiment == "lil":
-        return base + ["s_n", "running_max_abs_s"]
-    raise ValueError(f"unknown experiment {cfg.experiment!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -498,31 +457,19 @@ def aggregate(cfg: ExperimentConfig, rows: list[dict]) -> tuple[dict, dict]:
     by_n: dict[int, list[dict]] = {}
     for row in rows:
         by_n.setdefault(int(row["n"]), []).append(row)
-    handler = {
-        "consistency": _agg_consistency,
-        "clt": _agg_clt,
-        "qsl": _agg_qsl,
-        "lil": _agg_lil,
-        "lan_remainder": _agg_lan_remainder,
-        "test_size": _agg_test,
-        "test_power": _agg_test,
-    }[cfg.experiment]
-    return handler(cfg, by_n)
+    good = {n: [r for r in rows_n if r["ok"]] for n, rows_n in sorted(by_n.items())}
+    per_n, summary = _TABLE[cfg.experiment][1](cfg, good)
+    for n, rows_n in by_n.items():
+        counts = {"count": len(good[n]), "failures": len(rows_n) - len(good[n])}
+        per_n[n] = {**counts, **per_n[n]}
+    return per_n, summary
 
 
-def _split_ok(rows_n: list[dict]) -> tuple[list[dict], int]:
-    good = [r for r in rows_n if r["ok"]]
-    return good, len(rows_n) - len(good)
-
-
-def _agg_consistency(cfg, by_n):
+def _agg_consistency(cfg, good):
     per_n = {}
-    for n, rows_n in sorted(by_n.items()):
-        good, failed = _split_ok(rows_n)
-        errs = np.array([r["err"] for r in good])
+    for n, rows_n in good.items():
+        errs = np.array([r["err"] for r in rows_n])
         per_n[n] = {
-            "count": len(good),
-            "failures": failed,
             "median_err": float(np.median(errs)) if errs.size else None,
             "mean_err": float(np.mean(errs)) if errs.size else None,
         }
@@ -535,17 +482,16 @@ def _agg_consistency(cfg, by_n):
     return per_n, {"slope": slope, "sample_sizes": list(cfg.sample_sizes)}
 
 
-def _agg_clt(cfg, by_n):
+def _agg_clt(cfg, good):
     p = cfg.p
     target = fisher_info_inverse(cfg.theta)
     per_n = {}
     rel_max = None
-    for n, rows_n in sorted(by_n.items()):
-        good, failed = _split_ok(rows_n)
-        entry = {"count": len(good), "failures": failed}
-        if len(good) >= 2:
+    for n, rows_n in good.items():
+        entry = {}
+        if len(rows_n) >= 2:
             scaled = np.array(
-                [[r[f"scaled_{j + 1}"] for j in range(p)] for r in good]
+                [[r[f"scaled_{j + 1}"] for j in range(p)] for r in rows_n]
             )
             cov = np.cov(scaled, rowvar=False, ddof=1).reshape(p, p)
             rel = float(
@@ -566,36 +512,28 @@ def _agg_clt(cfg, by_n):
     return per_n, {"rel_error_max": rel_max}
 
 
-def _agg_qsl(cfg, by_n):
+def _agg_qsl(cfg, good):
     per_n = {}
-    for n, rows_n in sorted(by_n.items()):
-        good, failed = _split_ok(rows_n)
-        ratios = np.array([r["trace_ratio"] for r in good])
+    for n, rows_n in good.items():
+        ratios = np.array([r["trace_ratio"] for r in rows_n])
         per_n[n] = {
-            "count": len(good),
-            "failures": failed,
             "median_trace_ratio": float(np.median(ratios)) if ratios.size else None,
         }
     target = float(np.trace(fisher_info_inverse(cfg.theta)))
     return per_n, {"target_trace": target}
 
 
-def _agg_lil(cfg, by_n):
-    v = np.array(cfg.direction) if cfg.direction is not None else _unit_vector(cfg.p)
+def _agg_lil(cfg, good):
+    v = _direction(cfg)
     inv = fisher_info_inverse(cfg.theta)
     envelope = float(math.sqrt(v @ inv @ v))
     per_n = {}
-    for n, rows_n in sorted(by_n.items()):
-        good, failed = _split_ok(rows_n)
-        runmax = np.array([r["running_max_abs_s"] for r in good])
-        entry = {"count": len(good), "failures": failed}
-        if runmax.size:
-            entry["within_share"] = float(np.mean(runmax <= 2.0 * envelope))
-            entry["max_running"] = float(runmax.max())
-        else:
-            entry["within_share"] = None
-            entry["max_running"] = None
-        per_n[n] = entry
+    for n, rows_n in good.items():
+        runmax = np.array([r["running_max_abs_s"] for r in rows_n])
+        per_n[n] = {
+            "within_share": float(np.mean(runmax <= 2.0 * envelope)) if runmax.size else None,
+            "max_running": float(runmax.max()) if runmax.size else None,
+        }
     n_last = max(per_n) if per_n else None
     final_share = per_n[n_last]["within_share"] if n_last is not None else None
     return per_n, {
@@ -605,14 +543,11 @@ def _agg_lil(cfg, by_n):
     }
 
 
-def _agg_lan_remainder(cfg, by_n):
+def _agg_lan_remainder(cfg, good):
     per_n = {}
-    for n, rows_n in sorted(by_n.items()):
-        good, failed = _split_ok(rows_n)
-        rems = np.array([abs(r["remainder"]) for r in good])
+    for n, rows_n in good.items():
+        rems = np.array([abs(r["remainder"]) for r in rows_n])
         per_n[n] = {
-            "count": len(good),
-            "failures": failed,
             "median_abs_remainder": float(np.median(rems)) if rems.size else None,
         }
     meds = [
@@ -626,23 +561,20 @@ def _agg_lan_remainder(cfg, by_n):
     return per_n, {"medians_monotone_decreasing": monotone}
 
 
-def _agg_test(cfg, by_n):
+def _agg_test(cfg, good):
     crit = float(chdtri(cfg.p, cfg.alpha))
     per_n = {}
-    for n, rows_n in sorted(by_n.items()):
-        good, failed = _split_ok(rows_n)
-        rejects = np.array([r["reject"] for r in good], dtype=float)
-        entry = {"count": len(good), "failures": failed}
-        if rejects.size:
-            rate = float(np.mean(rejects))
-            entry["rejection_rate"] = rate
-            entry["rate_stderr"] = float(
-                math.sqrt(max(rate * (1.0 - rate), 0.0) / rejects.size)
-            )
-        else:
-            entry["rejection_rate"] = None
-            entry["rate_stderr"] = None
-        per_n[n] = entry
+    for n, rows_n in good.items():
+        rejects = np.array([r["reject"] for r in rows_n], dtype=float)
+        rate = float(np.mean(rejects)) if rejects.size else None
+        per_n[n] = {
+            "rejection_rate": rate,
+            "rate_stderr": (
+                float(math.sqrt(max(rate * (1.0 - rate), 0.0) / rejects.size))
+                if rejects.size
+                else None
+            ),
+        }
     summary = {"alpha": cfg.alpha, "critical": float(crit)}
     if cfg.experiment == "test_power":
         u = np.array(cfg.shift)
@@ -650,6 +582,20 @@ def _agg_test(cfg, by_n):
         summary["noncentrality"] = lam
         summary["predicted_power"] = float(scipy.stats.ncx2.sf(crit, cfg.p, lam))
     return per_n, summary
+
+
+#: Every experiment, declared once: the rows of one replicate at the sample
+#: sizes of a simulation, and the aggregate of the ok rows grouped by n.
+_TABLE: dict[str, tuple[Callable[..., list[dict]], Callable[..., tuple[dict, dict]]]] = {
+    "consistency": (_rows_consistency, _agg_consistency),
+    "clt": (_rows_clt, _agg_clt),
+    "qsl": (_rows_qsl, _agg_qsl),
+    "lil": (_rows_lil, _agg_lil),
+    "lan_remainder": (_rows_lan_remainder, _agg_lan_remainder),
+    "test_size": (_rows_test, _agg_test),
+    "test_power": (_rows_test, _agg_test),
+}
+EXPERIMENTS = tuple(_TABLE)
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +634,7 @@ def run_experiment(
     report = ExperimentReport(
         experiment=cfg.experiment,
         config=cfg.to_json_dict(),
-        columns=_columns(cfg),
+        columns=list(rows[0]),
         rows=rows,
         per_n=per_n,
         summary=summary,

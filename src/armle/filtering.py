@@ -18,8 +18,8 @@ Everything is O(n) memory in streaming form; materializing all rows
 
 The stream depends on the kernel and n only, never on data. `_generate` and
 `_whiten` therefore apply one walk to every series of a batch at once (time
-along the last axis), and the Markov kernels (white, ar1) skip the walk for
-their O(n) closed form.
+along the last axis). The Markov kernels (white, ar1) skip the walk for
+their O(n) closed form there and in `pacf_and_variances`.
 """
 from __future__ import annotations
 
@@ -173,10 +173,22 @@ def kernel_rows(kernel: CovarianceKernel, n: int) -> np.ndarray:
 
 
 def pacf_and_variances(kernel: CovarianceKernel, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Return (beta_1..beta_n, sigma_1**2..sigma_n**2) for diagnostics and dumps."""
+    """Return (beta_1..beta_n, sigma_1**2..sigma_n**2) for diagnostics and dumps.
+
+    White and ar1 give beta_1 = a, beta_m = 0 and sigma_m**2 = 1 - a**2
+    (m >= 2) exactly, without the O(n**2) walk.
+    """
     n = int(n)
     if n < 1:
         raise ValueError("n must be at least 1")
+    markov = _markov(kernel, 2)  # 2 steps: the positivity check runs at n = 1 too
+    if markov is not None:
+        a = markov[0]
+        beta = np.zeros(n)
+        beta[0] = a
+        sigma2 = np.full(n, 1.0 - a * a)
+        sigma2[0] = 1.0
+        return beta, sigma2
     beta = np.empty(n)
     sigma2 = np.empty(n)
     for step in _stream(kernel, n + 1):

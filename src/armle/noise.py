@@ -56,10 +56,6 @@ class CovarianceKernel:
             if not (math.isfinite(self.hurst) and 0.0 < self.hurst < 1.0):
                 raise ValueError("fgn kernel needs Hurst index in (0, 1)")
 
-    def covariance(self, lag: int) -> float:
-        """Covariance r(lag) at a nonnegative integer lag; r(0) = 1."""
-        return covariance(self, lag)
-
     def to_json_dict(self) -> dict:
         if self.family == "ar1":
             return {"family": "ar1", "params": {"a": self.a}}
@@ -100,10 +96,6 @@ def covariance(kernel: CovarianceKernel, lag: int) -> float:
         return float(kernel.a) ** k
     h2 = 2.0 * kernel.hurst
     return 0.5 * ((k + 1.0) ** h2 - 2.0 * k**h2 + (k - 1.0) ** h2)
-
-
-def kernel_to_json(kernel: CovarianceKernel) -> str:
-    return json.dumps(kernel.to_json_dict(), sort_keys=True)
 
 
 def kernel_from_json(text: str | dict) -> CovarianceKernel:
@@ -204,19 +196,6 @@ def _fit_decay_exponent(beta: np.ndarray) -> float | None:
     return float(-slope)
 
 
-@dataclass(frozen=True, eq=False)
-class NoisePath:
-    """A sampled stationary Gaussian path together with its provenance."""
-
-    values: np.ndarray
-    kernel: CovarianceKernel
-    seed: int
-
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-
 def noise_from_innovations(kernel: CovarianceKernel, eps: np.ndarray) -> np.ndarray:
     """Map i.i.d. standard normal innovations to an exact stationary path.
 
@@ -232,7 +211,7 @@ def noise_from_innovations(kernel: CovarianceKernel, eps: np.ndarray) -> np.ndar
     return _generate(kernel, eps)
 
 
-def sample_noise(kernel: CovarianceKernel, n: int, seed: int) -> NoisePath:
+def sample_noise(kernel: CovarianceKernel, n: int, seed: int) -> np.ndarray:
     """Sample an exact stationary Gaussian path of length ``n``.
 
     Deterministic given ``(kernel, n, seed)``; the innovations are drawn from
@@ -242,11 +221,4 @@ def sample_noise(kernel: CovarianceKernel, n: int, seed: int) -> NoisePath:
     if n < 1:
         raise ValueError("n must be at least 1")
     eps = rng.standard_normals(rng.substream(seed), n)
-    return NoisePath(values=noise_from_innovations(kernel, eps), kernel=kernel, seed=int(seed))
-
-
-def write_noise_csv(path: NoisePath, fh) -> None:
-    """Write a noise path as single-column CSV with header ``xi``."""
-    fh.write("xi\n")
-    for v in path.values:
-        fh.write(f"{float(v)!r}\n")
+    return noise_from_innovations(kernel, eps)

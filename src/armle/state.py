@@ -176,16 +176,6 @@ def accumulate(path: FilteredPath, theta) -> tuple[ScoreAccumulator, np.ndarray]
     return acc, score
 
 
-def write_state_csv(path: FilteredPath, fh) -> None:
-    """Write the state path as CSV with 2p + 1 columns: index then components."""
-    p = path.p
-    header = ["m"] + [f"state_{j + 1}" for j in range(2 * p)]
-    fh.write(",".join(header) + "\n")
-    for m in range(path.n):
-        cells = [str(m + 1)] + [repr(float(v)) for v in path.states[m]]
-        fh.write(",".join(cells) + "\n")
-
-
 def _check_theta(path: FilteredPath, theta) -> np.ndarray:
     from .ar import as_theta
 

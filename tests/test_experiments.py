@@ -1,6 +1,8 @@
 import csv
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 import armle
 from armle import (
     ExperimentConfig,
+    ExperimentReport,
     Unstable,
     aggregate,
     ar1,
@@ -355,3 +358,54 @@ def test_report_files_round_trip(tmp_path):
     assert float(curve_rows[0]["rel_error_fro"]) == pytest.approx(
         report.per_n[150]["rel_error_fro"]
     )
+
+
+_P2_HEADERS = {
+    "consistency": ["replicate", "n", "ok", "err", "theta_hat_1", "theta_hat_2"],
+    "clt": ["replicate", "n", "ok", "scaled_1", "scaled_2"],
+    "qsl": ["replicate", "n", "ok", "trace_ratio", "k0"],
+    "lil": ["replicate", "n", "ok", "s_n", "running_max_abs_s"],
+    "lan_remainder": ["replicate", "n", "ok", "remainder"],
+    "test_size": ["replicate", "n", "ok", "statistic", "reject"],
+    "test_power": ["replicate", "n", "ok", "statistic", "reject"],
+}
+
+
+def test_raw_csv_headers_of_every_experiment(tmp_path):
+    assert set(_P2_HEADERS) == set(armle.EXPERIMENTS)
+    for name, header in _P2_HEADERS.items():
+        cfg = _base_cfg(
+            experiment=name,
+            theta=(0.4, 0.2),
+            sample_sizes=(40, 60),
+            replicates=2,
+            shift=(0.5, 0.5),
+        )
+        report = run_experiment(cfg)
+        assert report.columns == header, name
+        report.write(tmp_path / name)
+        with open(tmp_path / name / "raw.csv", encoding="utf-8") as fh:
+            assert fh.readline().rstrip("\n").split(",") == header, name
+
+
+def test_verification_battery_script(tmp_path, monkeypatch):
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    spec = importlib.util.spec_from_file_location(
+        "run_verification", scripts / "run_verification.py"
+    )
+    battery = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(battery)
+    written = {}
+    write = ExperimentReport.write
+
+    def recording_write(self, out_dir):
+        written[Path(out_dir).name] = self.columns
+        write(self, out_dir)
+
+    monkeypatch.setattr(ExperimentReport, "write", recording_write)
+    assert battery.main(["--quiet", "--out", str(tmp_path)]) == 0
+    stems = {p.stem for p in (scripts / "configs").glob("*.json")}
+    assert set(written) == stems
+    for stem, columns in written.items():
+        with open(tmp_path / stem / "raw.csv", encoding="utf-8") as fh:
+            assert fh.readline().rstrip("\n").split(",") == columns, stem

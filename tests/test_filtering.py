@@ -32,17 +32,17 @@ def test_white_filter_is_identity():
 
 
 def test_ar1_closed_form():
-    a = 0.5
-    beta, sigma2 = pacf_and_variances(ar1(a), 12)
-    assert beta[0] == pytest.approx(a, rel=1e-14)
-    np.testing.assert_allclose(beta[1:], 0.0, atol=1e-14)
-    assert sigma2[0] == 1.0
-    np.testing.assert_allclose(sigma2[1:], 1.0 - a * a, rtol=1e-14)
-    rows = kernel_rows(ar1(a), 6)
+    for a in (0.5, 0.9, -0.99):
+        beta, sigma2 = pacf_and_variances(ar1(a), 12)
+        assert beta[0] == pytest.approx(a, rel=1e-14)
+        np.testing.assert_array_equal(beta[1:], 0.0)
+        assert sigma2[0] == 1.0
+        np.testing.assert_allclose(sigma2[1:], 1.0 - a * a, rtol=1e-14)
+    rows = kernel_rows(ar1(0.5), 6)
     for m in range(2, 7):
         expected = np.zeros(m)
         expected[-1] = 1.0
-        expected[-2] = -a
+        expected[-2] = -0.5
         np.testing.assert_allclose(rows[m - 1, :m], expected, atol=1e-14)
 
 

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -16,7 +14,6 @@ from armle import (
     log_likelihood,
     score_weights,
     white,
-    write_state_csv,
 )
 
 from _oracles import dense_log_likelihood, random_stable_theta, transition
@@ -184,18 +181,6 @@ def test_dimension_mismatch():
         log_likelihood(path, (0.1,))
     with pytest.raises(DimensionMismatch):
         innovations(path, (0.1, 0.2, 0.3))
-
-
-def test_write_state_csv():
-    path, _ = _random_path(white(), 1, 5, seed=2)
-    buf = io.StringIO()
-    write_state_csv(path, buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "m,state_1,state_2"
-    assert len(lines) == 6
-    first = lines[1].split(",")
-    assert first[0] == "1"
-    assert float(first[1]) == path.states[0, 0]
 
 
 def test_filtered_path_properties():
