@@ -9,10 +9,8 @@ likelihood-ratio test, the local quadratic likelihood expansion, and a Monte
 Carlo harness that checks the asymptotic behavior of all of these.
 """
 from .ar import (
-    STABILITY_MARGIN,
     apply_ar,
     as_theta,
-    characteristic_roots,
     companion,
     fisher_info,
     fisher_info_inverse,
@@ -36,16 +34,12 @@ from .experiments import (
     run_experiment,
 )
 from .filtering import (
-    VARIANCE_FLOOR,
     kernel_rows,
     pacf_and_variances,
 )
 from .inference import (
-    GRAM_CONDITION_CAP,
-    ConfidenceEllipsoid,
     EstimationResult,
     TestResult,
-    confidence_ellipsoid,
     lan_decomposition,
     lr_statistic,
     lr_test,
@@ -69,10 +63,8 @@ from .state import (
     ScoreAccumulator,
     accumulate,
     filter_observations,
-    gram_moment,
     innovations,
     log_likelihood,
-    score_weights,
 )
 
 __version__ = "0.1.0"
@@ -80,37 +72,30 @@ __version__ = "0.1.0"
 __all__ = [
     "ArmleError",
     "CovarianceKernel",
-    "ConfidenceEllipsoid",
     "DimensionMismatch",
     "EstimationResult",
     "EXPERIMENTS",
     "ExperimentConfig",
     "ExperimentReport",
     "FilteredPath",
-    "GRAM_CONDITION_CAP",
     "NotPositiveDefinite",
-    "STABILITY_MARGIN",
     "ScoreAccumulator",
     "SingularGram",
     "TestResult",
     "TooShort",
     "Unstable",
-    "VARIANCE_FLOOR",
     "ValidationReport",
     "accumulate",
     "aggregate",
     "apply_ar",
     "ar1",
     "as_theta",
-    "characteristic_roots",
     "companion",
-    "confidence_ellipsoid",
     "covariance",
     "fgn",
     "filter_observations",
     "fisher_info",
     "fisher_info_inverse",
-    "gram_moment",
     "innovations",
     "is_stable",
     "kernel_from_json",
@@ -125,7 +110,6 @@ __all__ = [
     "require_stable",
     "run_experiment",
     "sample_noise",
-    "score_weights",
     "simulate_series",
     "standard_normals",
     "substream",

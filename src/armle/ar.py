@@ -40,13 +40,9 @@ def companion(theta) -> np.ndarray:
     return a
 
 
-def characteristic_roots(theta) -> np.ndarray:
-    """Roots of z**p - theta_1 z**(p-1) - ... - theta_p: the eigenvalues of A."""
-    return np.linalg.eigvals(companion(theta))
-
-
 def _max_modulus(theta) -> float:
-    return float(np.max(np.abs(characteristic_roots(theta))))
+    """Largest modulus of the characteristic roots, the eigenvalues of A."""
+    return float(np.max(np.abs(np.linalg.eigvals(companion(theta)))))
 
 
 def is_stable(theta) -> bool:

@@ -21,9 +21,12 @@ Available experiments, all driven by one :class:`ExperimentConfig`:
     noncentral chi-square calibration.
 
 Each experiment is declared once, in ``_TABLE``: a rows function, which turns
-one replicate's running Gram/moment into raw rows at the sample sizes of a
-simulation, and an aggregate function over the ok rows of each n. Everything
-else is shared. ``_draws`` lists the simulations of a block: one trajectory
+one replicate's Gram and moment into raw rows at the sample sizes of a
+simulation, an aggregate function over the ok rows of each n, and whether the
+rows read the Gram and moment at every k (qsl, lil) or only at the sizes.
+``state._gram_moment`` sums them in one step, at exactly those ends; the
+library's ``mle`` and ``accumulate`` use the same step. Everything else is
+shared. ``_draws`` lists the simulations of a block: one trajectory
 per replicate from substream (seed, r), evaluated at every sample size, or,
 for ``test_power`` whose simulated parameter depends on n, one per size index
 c from (seed, c, r). Replicates are simulated in blocks that share one pass of
@@ -55,7 +58,7 @@ from .exceptions import Unstable
 from .filtering import MARKOV_FAMILIES, _generate, _whiten
 from .inference import _solve_gram
 from .noise import CovarianceKernel, kernel_from_json, validate_kernel
-from .state import _carry, _weights
+from .state import _carry, _gram_moment, _weights
 
 #: A report passes when at most this fraction of raw rows failed.
 FAILURE_BUDGET = 0.01
@@ -242,10 +245,13 @@ def _block_size(cfg: ExperimentConfig) -> int:
 
     A block shares one filter walk, O(n) Python steps for an fgn kernel, so
     its budget is 2**17 steps. White and ar1 kernels have no walk to share;
-    their budget of 2**14 steps keeps every array of a block under 128 KiB,
-    which stays in cache and is served from the heap rather than from freshly
-    mapped pages. The size depends on the config alone, so the partition into
-    blocks, and with it every report, is the same for any job count.
+    their budget of 2**14 steps keeps each (R, n) array of a block within
+    128 KiB, in cache and on the heap rather than in freshly mapped pages, and
+    each (R, n, p) array within 128 p KiB. The Gram at the sample sizes is
+    (R, len(sizes), p, p); only qsl and lil, which read it at every k, hold an
+    (R, n, p, p) Gram of up to 128 p**2 KiB. The size depends on the config
+    alone, so the partition into blocks, and with it every report, is the
+    same for any job count.
     """
     steps = 2**14 if cfg.kernel.family in MARKOV_FAMILIES else 2**17
     return min(64, max(1, steps // max(cfg.sample_sizes)))
@@ -262,28 +268,6 @@ def _simulate_block(theta, kernel: CovarianceKernel, eps: np.ndarray):
     z, sigma2, pacf = _whiten(kernel, x, len(theta))
     del x
     return _weights(z, _carry(z, pacf), pacf), z[..., 0].copy(), sigma2
-
-
-def _cumulative_stats(w, z1, sigma2):
-    """Running Gram (..., n, p, p) and moment (..., n, p) over the first k terms."""
-    sw = w / np.sqrt(sigma2)[:, None]
-    cum_gram = sw[..., :, None] * sw[..., None, :]
-    del sw
-    np.cumsum(cum_gram, axis=-3, out=cum_gram)
-    cum_mom = w * (z1 / sigma2)[..., None]
-    np.cumsum(cum_mom, axis=-2, out=cum_mom)
-    return cum_gram, cum_mom
-
-
-def _simulate_cumulants(kernel: CovarianceKernel, theta, n: int, keys):
-    """Running statistics (R, n, p, p) and (R, n, p) of one replicate per
-    substream key, simulated at ``theta`` as one block."""
-    eps = np.empty((len(keys), n))
-    for k, key in enumerate(keys):
-        eps[k] = rng.standard_normals(rng.substream(*key), n)
-    w, z1, sigma2 = _simulate_block(theta, kernel, eps)
-    del eps  # block-sized arrays are dropped once used, to bound peak memory
-    return _cumulative_stats(w, z1, sigma2)
 
 
 def _draws(cfg: ExperimentConfig) -> list[tuple]:
@@ -304,31 +288,28 @@ def _draws(cfg: ExperimentConfig) -> list[tuple]:
 
 def _rows_block(cfg: ExperimentConfig, reps: range) -> list[dict]:
     """Raw rows of a block of replicates (a pure function of (cfg, reps))."""
-    rows_of = _TABLE[cfg.experiment][0]
+    rows_of, _, every_k = _TABLE[cfg.experiment]
     rows = []
     for theta, n, prefix, sizes in _draws(cfg):
-        keys = [prefix + (rep,) for rep in reps]
-        cum_gram, cum_mom = _simulate_cumulants(cfg.kernel, theta, n, keys)
+        eps = np.empty((len(reps), n))
         for k, rep in enumerate(reps):
-            rows += rows_of(cfg, rep, sizes, cum_gram[k], cum_mom[k])
+            eps[k] = rng.standard_normals(rng.substream(*prefix, rep), n)
+        w, z1, sigma2 = _simulate_block(theta, cfg.kernel, eps)
+        del eps  # block-sized arrays are dropped once used, to bound peak memory
+        gram, moment = _gram_moment(w, z1, sigma2, range(1, n + 1) if every_k else sizes)
+        for k, rep in enumerate(reps):
+            rows += rows_of(cfg, rep, sizes, gram[k], moment[k])
     return rows
 
 
 # ---------------------------------------------------------------------------
-# Per-replicate rows from running statistics
+# Per-replicate rows from the Gram and moment
 # ---------------------------------------------------------------------------
 
 
-def _estimates(sizes, cum_gram, cum_mom):
-    """(theta_hat, ok) of one replicate at the sample sizes."""
-    idx = np.array(sizes) - 1
-    that, _, ok = _solve_gram(cum_gram[idx], cum_mom[idx])
-    return that, ok
-
-
-def _rows_consistency(cfg: ExperimentConfig, rep: int, sizes, cum_gram, cum_mom) -> list[dict]:
+def _rows_consistency(cfg: ExperimentConfig, rep: int, sizes, gram, moment) -> list[dict]:
     th = np.array(cfg.theta)
-    that, ok = _estimates(sizes, cum_gram, cum_mom)
+    that, _, ok = _solve_gram(gram, moment)
     rows = []
     for c, n in enumerate(sizes):
         row = {"replicate": rep, "n": int(n), "ok": int(ok[c]), "err": None}
@@ -342,9 +323,9 @@ def _rows_consistency(cfg: ExperimentConfig, rep: int, sizes, cum_gram, cum_mom)
     return rows
 
 
-def _rows_clt(cfg: ExperimentConfig, rep: int, sizes, cum_gram, cum_mom) -> list[dict]:
+def _rows_clt(cfg: ExperimentConfig, rep: int, sizes, gram, moment) -> list[dict]:
     th = np.array(cfg.theta)
-    that, ok = _estimates(sizes, cum_gram, cum_mom)
+    that, _, ok = _solve_gram(gram, moment)
     rows = []
     for c, n in enumerate(sizes):
         row = {"replicate": rep, "n": int(n), "ok": int(ok[c])}
@@ -356,37 +337,36 @@ def _rows_clt(cfg: ExperimentConfig, rep: int, sizes, cum_gram, cum_mom) -> list
     return rows
 
 
-def _rows_test(cfg: ExperimentConfig, rep: int, sizes, cum_gram, cum_mom) -> list[dict]:
+def _rows_test(cfg: ExperimentConfig, rep: int, sizes, gram, moment) -> list[dict]:
     """LR statistic d^T gram d against the null theta, d = theta_hat - theta."""
     th0 = np.array(cfg.theta)
     crit = float(chdtri(cfg.p, cfg.alpha))
-    that, ok = _estimates(sizes, cum_gram, cum_mom)
+    that, _, ok = _solve_gram(gram, moment)
     rows = []
     for c, n in enumerate(sizes):
         row = {"replicate": rep, "n": int(n), "ok": int(ok[c]), "statistic": None, "reject": None}
         if ok[c]:
             d = that[c] - th0
-            stat = max(float(d @ cum_gram[n - 1] @ d), 0.0)
+            stat = max(float(d @ gram[c] @ d), 0.0)
             row["statistic"] = stat
             row["reject"] = int(stat >= crit)
         rows.append(row)
     return rows
 
 
-def _rows_lan_remainder(cfg: ExperimentConfig, rep: int, sizes, cum_gram, cum_mom) -> list[dict]:
+def _rows_lan_remainder(cfg: ExperimentConfig, rep: int, sizes, gram, moment) -> list[dict]:
     u = np.array(cfg.shift)
     info = fisher_info(cfg.theta)
     rows = []
-    for n in sizes:
-        gram_over_n = cum_gram[n - 1] / n
-        rem = -0.5 * float(u @ (gram_over_n - info) @ u)
+    for c, n in enumerate(sizes):
+        rem = -0.5 * float(u @ (gram[c] / n - info) @ u)
         rows.append({"replicate": rep, "n": int(n), "ok": 1, "remainder": rem})
     return rows
 
 
-def _rows_qsl(cfg: ExperimentConfig, rep: int, sizes, cum_gram, cum_mom) -> list[dict]:
+def _rows_qsl(cfg: ExperimentConfig, rep: int, sizes, gram, moment) -> list[dict]:
     th = np.array(cfg.theta)
-    that, _, ok = _solve_gram(cum_gram, cum_mom)
+    that, _, ok = _solve_gram(gram, moment)
     if not ok.any():
         return [
             {"replicate": rep, "n": int(n), "ok": 0, "trace_ratio": None, "k0": None}
@@ -408,10 +388,10 @@ def _rows_qsl(cfg: ExperimentConfig, rep: int, sizes, cum_gram, cum_mom) -> list
     ]
 
 
-def _rows_lil(cfg: ExperimentConfig, rep: int, sizes, cum_gram, cum_mom) -> list[dict]:
+def _rows_lil(cfg: ExperimentConfig, rep: int, sizes, gram, moment) -> list[dict]:
     th = np.array(cfg.theta)
     v = _direction(cfg)
-    that, _, ok = _solve_gram(cum_gram, cum_mom)
+    that, _, ok = _solve_gram(gram, moment)
     ks = np.arange(1, max(sizes) + 1)
     valid = ok & (ks >= max(16, min(sizes)))
     proj = np.where(ok, (that - th) @ v, 0.0)
@@ -585,15 +565,16 @@ def _agg_test(cfg, good):
 
 
 #: Every experiment, declared once: the rows of one replicate at the sample
-#: sizes of a simulation, and the aggregate of the ok rows grouped by n.
-_TABLE: dict[str, tuple[Callable[..., list[dict]], Callable[..., tuple[dict, dict]]]] = {
-    "consistency": (_rows_consistency, _agg_consistency),
-    "clt": (_rows_clt, _agg_clt),
-    "qsl": (_rows_qsl, _agg_qsl),
-    "lil": (_rows_lil, _agg_lil),
-    "lan_remainder": (_rows_lan_remainder, _agg_lan_remainder),
-    "test_size": (_rows_test, _agg_test),
-    "test_power": (_rows_test, _agg_test),
+#: sizes of a simulation, the aggregate of the ok rows grouped by n, and
+#: whether the rows read the Gram and moment at every k (else at the sizes).
+_TABLE: dict[str, tuple[Callable[..., list[dict]], Callable[..., tuple[dict, dict]], bool]] = {
+    "consistency": (_rows_consistency, _agg_consistency, False),
+    "clt": (_rows_clt, _agg_clt, False),
+    "qsl": (_rows_qsl, _agg_qsl, True),
+    "lil": (_rows_lil, _agg_lil, True),
+    "lan_remainder": (_rows_lan_remainder, _agg_lan_remainder, False),
+    "test_size": (_rows_test, _agg_test, False),
+    "test_power": (_rows_test, _agg_test, False),
 }
 EXPERIMENTS = tuple(_TABLE)
 

@@ -18,7 +18,7 @@ from scipy.special import chdtrc, chdtri
 
 from .ar import as_theta, fisher_info, require_stable
 from .exceptions import SingularGram
-from .state import FilteredPath, _check_theta, accumulate, gram_moment
+from .state import FilteredPath, _check_theta, _gram_moment, _path_weights, accumulate
 
 #: Gram matrices with a larger 2-norm condition number are rejected as singular.
 GRAM_CONDITION_CAP = 1e12
@@ -77,12 +77,12 @@ def mle(path: FilteredPath) -> EstimationResult:
     SingularGram
         If the Gram matrix is singular or its condition number exceeds the cap.
     """
-    acc = gram_moment(path)
-    theta, cond, ok = _solve_gram(acc.gram[None], acc.moment[None])
+    gram, moment = _gram_moment(_path_weights(path), path.states[:, 0], path.sigma2, (path.n,))
+    theta, cond, ok = _solve_gram(gram, moment)
     if not ok[0]:
         raise SingularGram(cond[0])
     return EstimationResult(
-        theta_hat=theta[0], gram_over_n=acc.gram / path.n, n=path.n, cond=float(cond[0])
+        theta_hat=theta[0], gram_over_n=gram[0] / path.n, n=path.n, cond=float(cond[0])
     )
 
 
@@ -161,39 +161,3 @@ def lan_decomposition(path: FilteredPath, theta0, u) -> tuple[float, float, floa
     info_term = -0.5 * float(u @ info @ u)
     remainder = -0.5 * float(u @ (acc.gram / n - info) @ u)
     return score_term, info_term, remainder
-
-
-@dataclass(frozen=True, eq=False)
-class ConfidenceEllipsoid:
-    """Set {theta : (theta_hat - theta)^T shape (theta_hat - theta) <= radius}."""
-
-    center: np.ndarray
-    shape: np.ndarray
-    radius: float
-
-    def contains(self, theta) -> bool:
-        d = self.center - as_theta(theta)
-        return bool(float(d @ self.shape @ d) <= self.radius)
-
-
-def confidence_ellipsoid(
-    result: EstimationResult, alpha: float, information: str = "empirical"
-) -> ConfidenceEllipsoid:
-    """Level 1 - alpha confidence ellipsoid around the estimate.
-
-    The quadratic form uses the empirical curvature gram/n by default;
-    ``information="fisher"`` substitutes the asymptotic information matrix
-    evaluated at the estimate. The radius is the upper-alpha chi-square
-    quantile divided by n, so for p = 1 the set reduces to
-    theta_hat +/- sqrt(quantile / (n * info)).
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    if information == "empirical":
-        shape = result.gram_over_n
-    elif information == "fisher":
-        shape = fisher_info(result.theta_hat)
-    else:
-        raise ValueError("information must be 'empirical' or 'fisher'")
-    radius = float(chdtri(result.p, alpha)) / result.n
-    return ConfidenceEllipsoid(center=result.theta_hat, shape=shape, radius=radius)

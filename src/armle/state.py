@@ -116,20 +116,46 @@ def _weights(z: np.ndarray, carry: np.ndarray, pacf: np.ndarray) -> np.ndarray:
     return w
 
 
-def score_weights(path: FilteredPath) -> np.ndarray:
-    """Score weights w_1..w_n, shape (n, p); w_1 = 0 since zeta_0 = 0.
+def _gram_moment(w: np.ndarray, z1: np.ndarray, sigma2: np.ndarray, ends):
+    """Gram sum_{i<=k} w_i w_i^T / sigma_i**2, shape (..., len(ends), p, p), and
+    moment sum_{i<=k} w_i z1_i / sigma_i**2, shape (..., len(ends), p), over the
+    first k terms for each k in ``ends``, increasing integers in 1..n.
 
-    w_m combines the previous state's two blocks with beta_{m-1}:
-    w_m = zeta_{m-1}[:p] + beta_{m-1} * zeta_{m-1}[p:].
+    With an end at every k (len(ends) == n) the sums are running cumsums of the
+    outer products. Otherwise each segment between consecutive ends is summed
+    by one batched matmul and the segment sums are cumsummed, so nothing of
+    size n * p * p is formed; for one series and ends = (n,) the Gram is
+    sw^T sw with sw = w / sigma.
     """
+    sw = w / np.sqrt(sigma2)[:, None]
+    y = z1 / sigma2
+    if len(ends) == w.shape[-2]:
+        gram = sw[..., :, None] * sw[..., None, :]
+        del sw
+        np.cumsum(gram, axis=-3, out=gram)
+        moment = w * y[..., None]
+        np.cumsum(moment, axis=-2, out=moment)
+        return gram, moment
+    cuts = list(zip((0, *ends[:-1]), ends))
+    gram = np.stack(
+        [sw[..., a:b, :].swapaxes(-1, -2) @ sw[..., a:b, :] for a, b in cuts], axis=-3
+    )
+    moment = np.stack(
+        [(w[..., a:b, :].swapaxes(-1, -2) @ y[..., a:b, None])[..., 0] for a, b in cuts],
+        axis=-2,
+    )
+    return np.cumsum(gram, axis=-3), np.cumsum(moment, axis=-2)
+
+
+def _path_weights(path: FilteredPath) -> np.ndarray:
+    """Score weights w_1..w_n of a path, shape (n, p); w_1 = 0 since zeta_0 = 0."""
     return _weights(path.whitened, path.states[:, path.p :], path.pacf)
 
 
 def innovations(path: FilteredPath, theta) -> np.ndarray:
     """Innovation sequence eps_1(theta)..eps_n(theta) of the path."""
     th = _check_theta(path, theta)
-    w = score_weights(path)
-    return (path.states[:, 0] - w @ th) / path.sigma
+    return (path.states[:, 0] - _path_weights(path) @ th) / path.sigma
 
 
 def log_likelihood(path: FilteredPath, theta) -> float:
@@ -153,15 +179,6 @@ class ScoreAccumulator:
     count: int
 
 
-def gram_moment(path: FilteredPath) -> ScoreAccumulator:
-    """Theta-free accumulation of the Gram matrix and moment vector."""
-    w = score_weights(path)
-    sw = w / path.sigma[:, None]
-    gram = sw.T @ sw
-    moment = w.T @ (path.states[:, 0] / path.sigma2)
-    return ScoreAccumulator(gram=gram, moment=moment, count=path.n)
-
-
 def accumulate(path: FilteredPath, theta) -> tuple[ScoreAccumulator, np.ndarray]:
     """Return the accumulator together with the score vector at ``theta``.
 
@@ -169,11 +186,11 @@ def accumulate(path: FilteredPath, theta) -> tuple[ScoreAccumulator, np.ndarray]
     moment - gram @ theta up to rounding.
     """
     th = _check_theta(path, theta)
-    acc = gram_moment(path)
-    w = score_weights(path)
+    w = _path_weights(path)
+    gram, moment = _gram_moment(w, path.states[:, 0], path.sigma2, (path.n,))
     eps = (path.states[:, 0] - w @ th) / path.sigma
     score = w.T @ (eps / path.sigma)
-    return acc, score
+    return ScoreAccumulator(gram=gram[0], moment=moment[0], count=path.n), score
 
 
 def _check_theta(path: FilteredPath, theta) -> np.ndarray:

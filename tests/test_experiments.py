@@ -18,8 +18,9 @@ from armle import (
     run_experiment,
     white,
 )
-from armle.experiments import _block_size, _cumulative_stats, _simulate_block
+from armle.experiments import _block_size, _simulate_block
 from armle.inference import _solve_gram
+from armle.state import _gram_moment, _path_weights
 
 
 def _base_cfg(**kw):
@@ -49,15 +50,15 @@ def test_score_arrays_match_public_route(kernel, theta):
     n = 120
     eps = np.stack([armle.standard_normals(armle.substream(42, r), n) for r in range(5)])
     w, z1, sigma2 = _simulate_block(np.array(theta), kernel, eps)
-    cum_gram, cum_mom = _cumulative_stats(w, z1, sigma2)
+    cum_gram, cum_mom = _gram_moment(w, z1, sigma2, range(1, n + 1))
     for r in range(5):
         xi = armle.noise_from_innovations(kernel, eps[r])
         x = armle.apply_ar(theta, xi)
         path = armle.filter_observations(x, kernel, p)
-        np.testing.assert_allclose(w[r], armle.score_weights(path), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(w[r], _path_weights(path), rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(z1[r], path.states[:, 0], rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(sigma2, path.sigma2, rtol=1e-12)
-        acc = armle.gram_moment(path)
+        acc, _ = armle.accumulate(path, theta)
         np.testing.assert_allclose(cum_gram[r, -1], acc.gram, rtol=1e-11, atol=1e-12)
         np.testing.assert_allclose(cum_mom[r, -1], acc.moment, rtol=1e-11, atol=1e-12)
         theta_hat, _, ok = _solve_gram(cum_gram[r, -1:], cum_mom[r, -1:])
@@ -68,6 +69,25 @@ def test_score_arrays_match_public_route(kernel, theta):
     w3, z3, _ = _simulate_block(np.array(theta), kernel, eps[3:4])
     assert np.linalg.norm(w3[0] - w[3]) <= 1e-12 * np.linalg.norm(w[3])
     assert np.linalg.norm(z3[0] - z1[3]) <= 1e-12 * np.linalg.norm(z1[3])
+
+
+@pytest.mark.parametrize("kernel", [ar1(0.5), fgn(0.7)], ids=lambda k: k.label())
+@pytest.mark.parametrize("p", [1, 3])
+def test_gram_moment_at_sizes_matches_running_sums(kernel, p):
+    # The segment-sum branch (ends at the sample sizes) agrees with the
+    # running outer-product branch (an end at every k) read at the sizes.
+    n, sizes = 300, (7, 50, 51, 200, 300)
+    eps = np.stack([armle.standard_normals(armle.substream(11, r), n) for r in range(3)])
+    theta = np.resize([0.4, -0.2, 0.1], p)
+    w, z1, sigma2 = _simulate_block(theta, kernel, eps)
+    gram, moment = _gram_moment(w, z1, sigma2, sizes)
+    cum_gram, cum_mom = _gram_moment(w, z1, sigma2, range(1, n + 1))
+    assert gram.shape == (3, len(sizes), p, p) and moment.shape == (3, len(sizes), p)
+    idx = np.array(sizes) - 1
+    for ours, running in ((gram, cum_gram[:, idx]), (moment, cum_mom[:, idx])):
+        err = np.linalg.norm((ours - running).reshape(3, len(sizes), -1), axis=-1)
+        scale = np.linalg.norm(running.reshape(3, len(sizes), -1), axis=-1)
+        assert np.all(err <= 1e-12 * scale)
 
 
 # ---------------------------------------------------------------------------

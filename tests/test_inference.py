@@ -14,7 +14,6 @@ from armle import (
     accumulate,
     aggregate,
     ar1,
-    confidence_ellipsoid,
     fgn,
     filter_observations,
     fisher_info,
@@ -48,7 +47,7 @@ def test_mle_equals_ols_on_white_noise():
 def test_mle_normal_equation_residual():
     path, _ = _fit(fgn(0.7), (0.5, 0.2), 300, seed=4)
     result = mle(path)
-    acc = armle.gram_moment(path)
+    acc, _ = accumulate(path, result.theta_hat)
     resid = acc.gram @ result.theta_hat - acc.moment
     assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(acc.moment)
     assert result.cond >= 1.0
@@ -133,12 +132,9 @@ def _paths_by_order():
 
 def test_chi2_quantile_matches_scipy():
     for p, path, theta in _paths_by_order():
-        result = mle(path)
         for alpha in (0.2, 0.1, 0.05, 0.01, 0.001):
             ref = scipy.stats.chi2.isf(alpha, p)
             assert lr_test(path, theta, alpha).critical == pytest.approx(ref, abs=1e-8)
-            radius = confidence_ellipsoid(result, alpha).radius
-            assert radius * result.n == pytest.approx(ref, abs=1e-8)
 
 
 def test_chi2_quantile_frozen_values():
@@ -275,41 +271,13 @@ def test_lan_score_term_structure():
     assert info_term == pytest.approx(-0.5 * 0.25 * info[0, 0], rel=1e-12)
 
 
-def test_confidence_ellipsoid_contains_center_excludes_far():
-    path, _ = _fit(ar1(0.5), (0.5,), 1000, seed=10)
-    result = mle(path)
-    ell = confidence_ellipsoid(result, 0.05)
-    assert ell.contains(result.theta_hat)
-    assert not ell.contains(result.theta_hat + 1.0)
-    # Boundary: a point at squared radius exactly matching the quantile.
-    direction = np.array([1.0])
-    scale = math.sqrt(ell.radius / float(direction @ ell.shape @ direction))
-    inside = result.theta_hat + 0.999 * scale * direction
-    outside = result.theta_hat + 1.001 * scale * direction
-    assert ell.contains(inside)
-    assert not ell.contains(outside)
-
-
-def test_confidence_ellipsoid_fisher_variant():
-    path, _ = _fit(ar1(0.5), (0.5,), 1000, seed=10)
-    result = mle(path)
-    emp = confidence_ellipsoid(result, 0.05, information="empirical")
-    fis = confidence_ellipsoid(result, 0.05, information="fisher")
-    assert emp.shape[0, 0] == pytest.approx(result.gram_over_n[0, 0], rel=1e-12)
-    assert fis.shape[0, 0] == pytest.approx(
-        fisher_info(result.theta_hat)[0, 0], rel=1e-12
-    )
-    with pytest.raises(ValueError):
-        confidence_ellipsoid(result, 0.05, information="bootstrap")
-
-
 def test_coverage_smoke():
-    # 200 replicates at n=600: empirical coverage of the 90% ellipsoid.
+    # 200 replicates at n=600: empirical coverage of the 90% region
+    # {theta0 : the level-0.10 LR test does not reject theta0}.
     hits = 0
     for rep in range(200):
         x = armle.simulate_series((0.4,), white(), 600, seed=rep)
         path = filter_observations(x, white(), 1)
-        result = mle(path)
-        if confidence_ellipsoid(result, 0.10).contains(np.array([0.4])):
+        if not lr_test(path, (0.4,), 0.10).reject:
             hits += 1
     assert 0.82 <= hits / 200 <= 0.97

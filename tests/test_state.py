@@ -9,12 +9,11 @@ from armle import (
     ar1,
     fgn,
     filter_observations,
-    gram_moment,
     innovations,
     log_likelihood,
-    score_weights,
     white,
 )
+from armle.state import _gram_moment, _path_weights
 
 from _oracles import dense_log_likelihood, random_stable_theta, transition
 
@@ -136,7 +135,7 @@ def test_log_likelihood_matches_dense_gaussian_density():
 
 def test_score_weights_shift():
     path, _ = _random_path(ar1(0.5), 2, 20, seed=6)
-    w = score_weights(path)
+    w = _path_weights(path)
     np.testing.assert_array_equal(w[0], 0.0)
     z = path.states[:, :2]
     carry = path.states[:, 2:]
@@ -149,15 +148,16 @@ def test_score_weights_shift():
 def test_gram_moment_matches_explicit_sums():
     theta = (0.3, 0.2)
     path, _ = _random_path(fgn(0.6), 2, 35, seed=8, theta=theta)
-    acc = gram_moment(path)
-    w = score_weights(path)
+    w = _path_weights(path)
     sigma2 = path.sigma2
+    ours_gram, ours_moment = _gram_moment(w, path.states[:, 0], sigma2, (35,))
+    assert ours_gram.shape == (1, 2, 2) and ours_moment.shape == (1, 2)
     gram = sum(np.outer(w[i], w[i]) / sigma2[i] for i in range(35))
     moment = sum(w[i] * path.states[i, 0] / sigma2[i] for i in range(35))
-    np.testing.assert_allclose(acc.gram, gram, rtol=1e-12)
-    np.testing.assert_allclose(acc.moment, moment, rtol=1e-12)
-    assert acc.count == 35
-    evals = np.linalg.eigvalsh(acc.gram)
+    np.testing.assert_allclose(ours_gram[0], gram, rtol=1e-12)
+    np.testing.assert_allclose(ours_moment[0], moment, rtol=1e-12)
+    assert accumulate(path, theta)[0].count == 35
+    evals = np.linalg.eigvalsh(ours_gram[0])
     assert np.all(evals >= -1e-12)
 
 
