@@ -24,32 +24,37 @@ from armle import ExperimentConfig, run_experiment
 HERE = Path(__file__).resolve().parent
 
 
+def _num(value, spec: str) -> str:
+    """``value`` formatted by ``spec``, or n/a when the report has none."""
+    return "n/a" if value is None else format(value, spec)
+
+
 def headline(report) -> str:
     s = report.summary
     per_n = report.per_n
     last = per_n[max(per_n)] if per_n else {}
     if report.experiment == "consistency":
-        return f"log-log slope {s['slope']:.4f} (target about -0.5)"
+        return f"log-log slope {_num(s['slope'], '.4f')} (target about -0.5)"
     if report.experiment == "clt":
-        return f"covariance rel error {s['rel_error_max']:.4f} vs inverse information"
+        return f"covariance rel error {_num(s['rel_error_max'], '.4f')} vs inverse information"
     if report.experiment in ("test_size", "test_power"):
         rate = last.get("rejection_rate")
-        msg = f"rejection rate {rate:.4f}"
+        msg = f"rejection rate {_num(rate, '.4f')}"
         if report.experiment == "test_power":
-            msg += f" vs predicted {s['predicted_power']:.4f}"
+            msg += f" vs predicted {_num(s['predicted_power'], '.4f')}"
         else:
             msg += f" at level {s['alpha']}"
         return msg
     if report.experiment == "qsl":
-        return f"median trace ratio {last.get('median_trace_ratio'):.4f} (target 1)"
+        return f"median trace ratio {_num(last.get('median_trace_ratio'), '.4f')} (target 1)"
     if report.experiment == "lil":
         return (
-            f"share within 2x envelope {last.get('within_share'):.2f}, "
+            f"share within 2x envelope {_num(last.get('within_share'), '.2f')}, "
             f"majority {s['majority_within']}"
         )
     if report.experiment == "lan_remainder":
         return (
-            f"median |remainder| {last.get('median_abs_remainder'):.2e} at the "
+            f"median |remainder| {_num(last.get('median_abs_remainder'), '.2e')} at the "
             f"largest n, monotone {s['medians_monotone_decreasing']}"
         )
     return "done"

@@ -13,7 +13,7 @@ import scipy.linalg
 import scipy.signal
 
 from .exceptions import Unstable
-from .noise import CovarianceKernel
+from .noise import CovarianceKernel, sample_noise
 
 #: Stability margin: a parameter is accepted when every root modulus is below
 #: 1 - STABILITY_MARGIN.
@@ -94,7 +94,5 @@ def apply_ar(theta, xi) -> np.ndarray:
 
 def simulate_series(theta, kernel: CovarianceKernel, n: int, seed: int) -> np.ndarray:
     """Simulate X_1..X_n at a stable theta driven by the given noise kernel."""
-    from .noise import sample_noise
-
     th = require_stable(theta)
     return apply_ar(th, sample_noise(kernel, n, seed))

@@ -20,17 +20,20 @@ Available experiments, all driven by one :class:`ExperimentConfig`:
     a local alternative theta + shift/sqrt(n), against its chi-square and
     noncentral chi-square calibration.
 
-Each experiment is declared once, in ``_TABLE``: a rows function, which turns
-one replicate's Gram and moment into raw rows at the sample sizes of a
-simulation, an aggregate function over the ok rows of each n, and whether the
-rows read the Gram and moment at every k (qsl, lil) or only at the sizes.
-``state._gram_moment`` sums them in one step, at exactly those ends; the
-library's ``mle`` and ``accumulate`` use the same step. Everything else is
-shared. ``_draws`` lists the simulations of a block: one trajectory
-per replicate from substream (seed, r), evaluated at every sample size, or,
-for ``test_power`` whose simulated parameter depends on n, one per size index
-c from (seed, c, r). Replicates are simulated in blocks that share one pass of
-the innovations filter. The raw.csv header is the keys of the first row.
+Each experiment is declared once, in ``_TABLE``: a column function, which
+turns a whole block's Gram and estimates into its ok mask and named
+(replicates, sample sizes) columns, an aggregate function over the ok rows of
+each n, and whether the columns read the Gram and moment at every k (qsl,
+lil) or only at the sizes. ``state._gram_moment`` sums them in one step, at
+exactly those ends; the library's ``mle`` and ``accumulate`` use the same
+step. Everything else is shared: ``_rows_block`` solves the normal equations
+of a simulation once for the whole block and ``_raw_rows`` turns the columns
+into raw rows, a missing value becoming None. ``_draws`` lists the
+simulations of a block: one trajectory per replicate from substream
+(seed, r), evaluated at every sample size, or, for ``test_power`` whose
+simulated parameter depends on n, one per size index c from (seed, c, r).
+Replicates are simulated in blocks that share one pass of the innovations
+filter. The raw.csv header is the keys of the first row.
 Failed replicates (singular Gram) are recorded, excluded from aggregates and
 counted; a report passes only when the failure rate stays within 1 percent.
 Aggregates are recomputable from the raw rows and are bit-identical under any
@@ -288,7 +291,7 @@ def _draws(cfg: ExperimentConfig) -> list[tuple]:
 
 def _rows_block(cfg: ExperimentConfig, reps: range) -> list[dict]:
     """Raw rows of a block of replicates (a pure function of (cfg, reps))."""
-    rows_of, _, every_k = _TABLE[cfg.experiment]
+    columns_of, _, every_k = _TABLE[cfg.experiment]
     rows = []
     for theta, n, prefix, sizes in _draws(cfg):
         eps = np.empty((len(reps), n))
@@ -297,120 +300,97 @@ def _rows_block(cfg: ExperimentConfig, reps: range) -> list[dict]:
         w, z1, sigma2 = _simulate_block(theta, cfg.kernel, eps)
         del eps  # block-sized arrays are dropped once used, to bound peak memory
         gram, moment = _gram_moment(w, z1, sigma2, range(1, n + 1) if every_k else sizes)
-        for k, rep in enumerate(reps):
-            rows += rows_of(cfg, rep, sizes, gram[k], moment[k])
+        theta_hat, _, solved = _solve_gram(gram, moment)
+        ok, columns = columns_of(cfg, np.array(sizes), gram, theta_hat, solved)
+        rows += _raw_rows(reps, sizes, ok, columns)
     return rows
+
+
+def _raw_rows(reps: range, sizes, ok: np.ndarray, columns: dict) -> list[dict]:
+    """One row per replicate and sample size from (R, len(sizes)) columns.
+
+    A NaN in a real column, and every cell of an integer column in a row that
+    is not ok, becomes None (an empty raw.csv cell).
+    """
+    cells = {
+        name: np.where(
+            np.isnan(col) if col.dtype.kind == "f" else ~ok, None, col.astype(object)
+        ).tolist()
+        for name, col in columns.items()
+    }
+    flags = ok.astype(int).tolist()
+    return [
+        {"replicate": rep, "n": n, "ok": flags[r][c]}
+        | {name: v[r][c] for name, v in cells.items()}
+        for r, rep in enumerate(reps)
+        for c, n in enumerate(sizes)
+    ]
 
 
 # ---------------------------------------------------------------------------
-# Per-replicate rows from the Gram and moment
+# Columns of a block from its Gram and estimates
 # ---------------------------------------------------------------------------
+#
+# Each function takes the block's Gram (R, K, p, p), estimates (R, K, p) and
+# solve flags (R, K), where K is the number of sample sizes, or every k up to
+# the largest size for qsl and lil, and returns the ok mask and the named
+# columns, each of shape (R, len(sizes)). Quadratic forms and norms use
+# stacked matmuls, which sum in the order of the 1-d products.
 
 
-def _rows_consistency(cfg: ExperimentConfig, rep: int, sizes, gram, moment) -> list[dict]:
-    th = np.array(cfg.theta)
-    that, _, ok = _solve_gram(gram, moment)
-    rows = []
-    for c, n in enumerate(sizes):
-        row = {"replicate": rep, "n": int(n), "ok": int(ok[c]), "err": None}
-        for j in range(cfg.p):
-            row[f"theta_hat_{j + 1}"] = None
-        if ok[c]:
-            row["err"] = float(np.linalg.norm(that[c] - th))
-            for j in range(cfg.p):
-                row[f"theta_hat_{j + 1}"] = float(that[c, j])
-        rows.append(row)
-    return rows
+def _quad(a: np.ndarray, m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^T m b over the leading axes, in the product order of 1-d a @ m @ b."""
+    return ((a[..., None, :] @ m) @ b[..., None])[..., 0, 0]
 
 
-def _rows_clt(cfg: ExperimentConfig, rep: int, sizes, gram, moment) -> list[dict]:
-    th = np.array(cfg.theta)
-    that, _, ok = _solve_gram(gram, moment)
-    rows = []
-    for c, n in enumerate(sizes):
-        row = {"replicate": rep, "n": int(n), "ok": int(ok[c])}
-        for j in range(cfg.p):
-            row[f"scaled_{j + 1}"] = (
-                float(math.sqrt(n) * (that[c, j] - th[j])) if ok[c] else None
-            )
-        rows.append(row)
-    return rows
+def _cols_consistency(cfg: ExperimentConfig, sizes, gram, theta_hat, solved):
+    d = theta_hat - cfg.theta
+    columns = {"err": np.sqrt((d[..., None, :] @ d[..., None])[..., 0, 0])}
+    for j in range(cfg.p):
+        columns[f"theta_hat_{j + 1}"] = theta_hat[..., j]
+    return solved, columns
 
 
-def _rows_test(cfg: ExperimentConfig, rep: int, sizes, gram, moment) -> list[dict]:
+def _cols_clt(cfg: ExperimentConfig, sizes, gram, theta_hat, solved):
+    scaled = np.sqrt(sizes)[:, None] * (theta_hat - cfg.theta)
+    return solved, {f"scaled_{j + 1}": scaled[..., j] for j in range(cfg.p)}
+
+
+def _cols_test(cfg: ExperimentConfig, sizes, gram, theta_hat, solved):
     """LR statistic d^T gram d against the null theta, d = theta_hat - theta."""
-    th0 = np.array(cfg.theta)
-    crit = float(chdtri(cfg.p, cfg.alpha))
-    that, _, ok = _solve_gram(gram, moment)
-    rows = []
-    for c, n in enumerate(sizes):
-        row = {"replicate": rep, "n": int(n), "ok": int(ok[c]), "statistic": None, "reject": None}
-        if ok[c]:
-            d = that[c] - th0
-            stat = max(float(d @ gram[c] @ d), 0.0)
-            row["statistic"] = stat
-            row["reject"] = int(stat >= crit)
-        rows.append(row)
-    return rows
+    d = theta_hat - cfg.theta
+    stat = np.maximum(_quad(d, gram, d), 0.0)
+    reject = (stat >= chdtri(cfg.p, cfg.alpha)).astype(int)
+    return solved, {"statistic": stat, "reject": reject}
 
 
-def _rows_lan_remainder(cfg: ExperimentConfig, rep: int, sizes, gram, moment) -> list[dict]:
+def _cols_lan_remainder(cfg: ExperimentConfig, sizes, gram, theta_hat, solved):
     u = np.array(cfg.shift)
-    info = fisher_info(cfg.theta)
-    rows = []
-    for c, n in enumerate(sizes):
-        rem = -0.5 * float(u @ (gram[c] / n - info) @ u)
-        rows.append({"replicate": rep, "n": int(n), "ok": 1, "remainder": rem})
-    return rows
+    curvature = gram / sizes[:, None, None] - fisher_info(cfg.theta)
+    rem = -0.5 * _quad(u, curvature, u)
+    return np.ones(rem.shape, dtype=bool), {"remainder": rem}
 
 
-def _rows_qsl(cfg: ExperimentConfig, rep: int, sizes, gram, moment) -> list[dict]:
-    th = np.array(cfg.theta)
-    that, _, ok = _solve_gram(gram, moment)
-    if not ok.any():
-        return [
-            {"replicate": rep, "n": int(n), "ok": 0, "trace_ratio": None, "k0": None}
-            for n in sizes
-        ]
-    k0 = int(np.argmax(ok)) + 1
-    err2 = np.where(ok, np.sum((that - th) ** 2, axis=1), 0.0)
-    cum_err2 = np.cumsum(err2)
-    target = float(np.trace(fisher_info_inverse(th)))
-    return [
-        {
-            "replicate": rep,
-            "n": int(n),
-            "ok": 1,
-            "trace_ratio": float(cum_err2[n - 1] / math.log(n) / target),
-            "k0": k0,
-        }
-        for n in sizes
-    ]
+def _cols_qsl(cfg: ExperimentConfig, sizes, gram, theta_hat, solved):
+    err2 = np.where(solved, np.sum((theta_hat - cfg.theta) ** 2, axis=-1), 0.0)
+    logs = np.array([math.log(n) for n in sizes])
+    target = float(np.trace(fisher_info_inverse(cfg.theta)))
+    ratio = np.cumsum(err2, axis=-1)[:, sizes - 1] / logs / target
+    ok = np.broadcast_to(solved.any(axis=-1)[:, None], ratio.shape)
+    k0 = np.broadcast_to(np.argmax(solved, axis=-1)[:, None] + 1, ratio.shape)
+    return ok, {"trace_ratio": np.where(ok, ratio, np.nan), "k0": k0}
 
 
-def _rows_lil(cfg: ExperimentConfig, rep: int, sizes, gram, moment) -> list[dict]:
-    th = np.array(cfg.theta)
-    v = _direction(cfg)
-    that, _, ok = _solve_gram(gram, moment)
+def _cols_lil(cfg: ExperimentConfig, sizes, gram, theta_hat, solved):
     ks = np.arange(1, max(sizes) + 1)
-    valid = ok & (ks >= max(16, min(sizes)))
-    proj = np.where(ok, (that - th) @ v, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.sqrt(ks / (2.0 * np.log(np.log(np.maximum(ks, 3)))))
-    s = np.where(valid, scale * proj, 0.0)
-    running = np.maximum.accumulate(np.where(valid, np.abs(s), -np.inf))
-    return [
-        {
-            "replicate": rep,
-            "n": int(n),
-            "ok": int(valid[n - 1]),
-            "s_n": float(s[n - 1]) if valid[n - 1] else None,
-            "running_max_abs_s": (
-                float(running[n - 1]) if np.isfinite(running[n - 1]) else None
-            ),
-        }
-        for n in sizes
-    ]
+    valid = solved & (ks >= max(16, min(sizes)))
+    proj = np.where(solved, (theta_hat - cfg.theta) @ _direction(cfg), 0.0)
+    scale = np.sqrt(ks / (2.0 * np.log(np.log(np.maximum(ks, 3)))))
+    s = np.where(valid, scale * proj, np.nan)
+    running = np.maximum.accumulate(np.where(valid, np.abs(s), -np.inf), axis=-1)
+    running[np.isinf(running)] = np.nan
+    idx = sizes - 1
+    return valid[:, idx], {"s_n": s[:, idx], "running_max_abs_s": running[:, idx]}
 
 
 def _direction(cfg: ExperimentConfig) -> np.ndarray:
@@ -564,17 +544,18 @@ def _agg_test(cfg, good):
     return per_n, summary
 
 
-#: Every experiment, declared once: the rows of one replicate at the sample
-#: sizes of a simulation, the aggregate of the ok rows grouped by n, and
-#: whether the rows read the Gram and moment at every k (else at the sizes).
-_TABLE: dict[str, tuple[Callable[..., list[dict]], Callable[..., tuple[dict, dict]], bool]] = {
-    "consistency": (_rows_consistency, _agg_consistency, False),
-    "clt": (_rows_clt, _agg_clt, False),
-    "qsl": (_rows_qsl, _agg_qsl, True),
-    "lil": (_rows_lil, _agg_lil, True),
-    "lan_remainder": (_rows_lan_remainder, _agg_lan_remainder, False),
-    "test_size": (_rows_test, _agg_test, False),
-    "test_power": (_rows_test, _agg_test, False),
+#: Every experiment, declared once: the ok mask and columns of a block at the
+#: sample sizes of a simulation, the aggregate of the ok rows grouped by n,
+#: and whether the columns read the Gram and moment at every k (else at the
+#: sizes).
+_TABLE: dict[str, tuple[Callable[..., tuple], Callable[..., tuple[dict, dict]], bool]] = {
+    "consistency": (_cols_consistency, _agg_consistency, False),
+    "clt": (_cols_clt, _agg_clt, False),
+    "qsl": (_cols_qsl, _agg_qsl, True),
+    "lil": (_cols_lil, _agg_lil, True),
+    "lan_remainder": (_cols_lan_remainder, _agg_lan_remainder, False),
+    "test_size": (_cols_test, _agg_test, False),
+    "test_power": (_cols_test, _agg_test, False),
 }
 EXPERIMENTS = tuple(_TABLE)
 

@@ -27,8 +27,8 @@ import math
 from typing import Iterator, NamedTuple
 
 import numpy as np
-import scipy.signal
 
+from .ar import apply_ar
 from .exceptions import NotPositiveDefinite
 from .noise import CovarianceKernel, covariance
 
@@ -113,7 +113,7 @@ def _generate(kernel: CovarianceKernel, eps: np.ndarray) -> np.ndarray:
     markov = _markov(kernel, n)
     if markov is not None:
         a, sigma = markov
-        return scipy.signal.lfilter([1.0], [1.0, -a], sigma * eps)
+        return apply_ar((a,), sigma * eps)
     xi = np.empty_like(eps)
     # Time-first views: xi_t[:i] is the (i, R) slab the row multiplies.
     xi_t, eps_t = xi.T, eps.T

@@ -51,15 +51,16 @@ class EstimationResult:
 def _solve_gram(
     gram: np.ndarray, moment: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched normal-equation solves of gram[k] @ theta[k] = moment[k].
+    """Batched normal-equation solves of gram[i] @ theta[i] = moment[i].
 
-    ``gram`` has shape (k, p, p) and ``moment`` shape (k, p). Returns
-    (theta, cond, ok): ``cond`` is the 2-norm condition number (inf when a
-    Gram matrix is not positive definite) and ``ok`` flags the solves with
-    cond within the cap; theta is NaN where ``ok`` is false.
+    ``gram`` has shape (..., p, p) and ``moment`` shape (..., p), over any
+    leading batch axes. Returns (theta, cond, ok) of shapes (..., p), (...)
+    and (...): ``cond`` is the 2-norm condition number (inf when a Gram matrix
+    is not positive definite) and ``ok`` flags the solves with cond within the
+    cap; theta is NaN where ``ok`` is false.
     """
     evals = np.linalg.eigvalsh(gram)
-    lo, hi = evals[:, 0], evals[:, -1]
+    lo, hi = evals[..., 0], evals[..., -1]
     ok = np.isfinite(lo) & np.isfinite(hi) & (lo > 0.0)
     cond = np.where(ok, hi / np.where(ok, lo, 1.0), math.inf)
     ok &= cond <= GRAM_CONDITION_CAP

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ar import as_theta
 from .exceptions import DimensionMismatch, TooShort
 from .filtering import _whiten
 from .noise import CovarianceKernel
@@ -194,8 +195,6 @@ def accumulate(path: FilteredPath, theta) -> tuple[ScoreAccumulator, np.ndarray]
 
 
 def _check_theta(path: FilteredPath, theta) -> np.ndarray:
-    from .ar import as_theta
-
     th = as_theta(theta)
     if th.size != path.p:
         raise DimensionMismatch(

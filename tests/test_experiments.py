@@ -18,6 +18,7 @@ from armle import (
     run_experiment,
     white,
 )
+from armle import experiments
 from armle.experiments import _block_size, _simulate_block
 from armle.inference import _solve_gram
 from armle.state import _gram_moment, _path_weights
@@ -331,6 +332,44 @@ def test_failed_rows_are_excluded_from_aggregates():
     assert per_n[100]["count"] == 3
 
 
+
+def test_failed_replicate_rows_through_harness(tmp_path, monkeypatch):
+    # The first replicate of every block fails its solves, as a singular
+    # Gram would make it.
+    solve = experiments._solve_gram
+
+    def failing_solve(gram, moment):
+        theta, cond, ok = solve(gram, moment)
+        theta[0], cond[0], ok[0] = np.nan, math.inf, False
+        return theta, cond, ok
+
+    monkeypatch.setattr(experiments, "_solve_gram", failing_solve)
+    for name in armle.EXPERIMENTS:
+        cfg = _base_cfg(
+            experiment=name,
+            theta=(0.4, 0.2),
+            sample_sizes=(40, 60),
+            replicates=3,
+            shift=(0.5, 0.5),
+        )
+        report = run_experiment(cfg)
+        estimated = report.columns[3:]
+        for row in report.rows:
+            if name == "lan_remainder" or row["replicate"] != 0:
+                assert row["ok"] == 1, (name, row)
+                assert all(row[c] is not None for c in estimated), (name, row)
+            else:
+                # reject and k0 too are None, not 0.
+                assert row["ok"] == 0, (name, row)
+                assert all(row[c] is None for c in estimated), (name, row)
+        report.write(tmp_path / name)
+        with open(tmp_path / name / "raw.csv", encoding="utf-8", newline="") as fh:
+            lines = list(csv.reader(fh))[1:]
+        for line in lines:
+            failed = line[0] == "0" and name != "lan_remainder"
+            assert (line[2] == "0") == failed, (name, line)
+            assert all((cell == "") == failed for cell in line[3:]), (name, line)
+
 # ---------------------------------------------------------------------------
 # Report files
 # ---------------------------------------------------------------------------
@@ -408,13 +447,19 @@ def test_raw_csv_headers_of_every_experiment(tmp_path):
             assert fh.readline().rstrip("\n").split(",") == header, name
 
 
-def test_verification_battery_script(tmp_path, monkeypatch):
+def _battery():
+    """The battery script, loaded as a module, and its directory."""
     scripts = Path(__file__).resolve().parents[1] / "scripts"
     spec = importlib.util.spec_from_file_location(
         "run_verification", scripts / "run_verification.py"
     )
     battery = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(battery)
+    return battery, scripts
+
+
+def test_verification_battery_script(tmp_path, monkeypatch):
+    battery, scripts = _battery()
     written = {}
     write = ExperimentReport.write
 
@@ -429,3 +474,20 @@ def test_verification_battery_script(tmp_path, monkeypatch):
     for stem, columns in written.items():
         with open(tmp_path / stem / "raw.csv", encoding="utf-8") as fh:
             assert fh.readline().rstrip("\n").split(",") == columns, stem
+
+
+def test_verification_battery_prints_missing_headlines(tmp_path, capsys):
+    # One sample size leaves no slope; one replicate leaves no covariance.
+    battery, _ = _battery()
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    for name, cfg in {
+        "consistency": _base_cfg(sample_sizes=(100,)),
+        "clt": _base_cfg(experiment="clt", replicates=1),
+    }.items():
+        (configs / f"{name}.json").write_text(json.dumps(cfg.to_json_dict()))
+    argv = ["--quiet", "--configs", str(configs), "--out", str(tmp_path / "out")]
+    assert battery.main(argv) == 0
+    out = capsys.readouterr().out
+    assert "log-log slope n/a" in out
+    assert "covariance rel error n/a" in out

@@ -220,6 +220,14 @@ def test_solve_gram_flags_singular():
     assert np.all(np.isnan(theta[:2]))
     np.testing.assert_array_equal(cond, [math.inf, 2.0 * GRAM_CONDITION_CAP, 2.0])
     np.testing.assert_array_equal(theta[2], [0.5, 1.0])
+    # The same Grams stacked under two leading axes give the same bits.
+    idx = np.array([[0, 1, 2], [2, 0, 1]])
+    theta2, cond2, ok2 = _solve_gram(gram[idx], moment[idx])
+    assert theta2.shape == (2, 3, 2) and cond2.shape == ok2.shape == (2, 3)
+    for ours, flat in ((theta2, theta), (cond2, cond), (ok2, ok)):
+        assert ours.tobytes() == flat[idx].tobytes()
+    np.testing.assert_array_equal(ok2, [[False, False, True], [True, False, False]])
+    assert np.all(np.isnan(theta2[~ok2]))
 
 
 def _check_lan_identity(path, theta0, u):
