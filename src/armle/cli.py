@@ -8,12 +8,14 @@ numbers and no NaN (non-finite results are an error instead).
 Exit codes: 0 success, 2 usage, 3 data or format error, 4 numeric
 degeneracy (unstable parameters, singular Gram, filter breakdown).  The
 outcome of a hypothesis test never affects the exit code.  Every run echoes
-its fully resolved configuration to stderr; set ARMLE_QUIET=1 to suppress
-the echo and progress lines.
+its arguments to stderr as JSON, options left unset omitted and the
+``experiment`` config file resolved to its full config; set ARMLE_QUIET=1 to
+suppress the echo and progress lines.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -22,21 +24,14 @@ import sys
 import numpy as np
 
 from .ar import simulate_series
-from .exceptions import (
-    DimensionMismatch,
-    NotPositiveDefinite,
-    SingularGram,
-    TooShort,
-    Unstable,
-)
-from .experiments import ExperimentConfig, run_experiment
+from .exceptions import NotPositiveDefinite, SingularGram, Unstable
+from .experiments import ExperimentConfig, _json_text, run_experiment
 from .filtering import pacf_and_variances
 from .inference import lan_decomposition, lr_test, mle
 from .noise import kernel_from_json, validate_kernel
 from .state import filter_observations, log_likelihood
 
 _DEGENERATE = (NotPositiveDefinite, SingularGram, Unstable)
-_DATA = (DimensionMismatch, TooShort)
 
 
 class _CliError(Exception):
@@ -56,8 +51,15 @@ def _note(text: str) -> None:
         print(text, file=sys.stderr)
 
 
-def _echo_config(obj: dict) -> None:
-    _note("config: " + json.dumps(obj, sort_keys=True))
+def _echo_config(args, **resolved) -> None:
+    """Echo the arguments given, unset options omitted, ``resolved`` overriding them."""
+    given = {
+        "in" if k == "input" else k: v
+        for k, v in vars(args).items()
+        if k != "func" and v is not None
+    }
+    text = json.dumps(given | resolved, sort_keys=True, default=lambda o: o.to_json_dict())
+    _note("config: " + text)
 
 
 def _vector_arg(text: str) -> tuple[float, ...]:
@@ -67,15 +69,13 @@ def _vector_arg(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated reals, got {text!r}"
         ) from None
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one value")
     return values
 
 
 def _kernel_arg(text: str):
     try:
         return kernel_from_json(text)
-    except (json.JSONDecodeError, ValueError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad kernel JSON: {exc}") from None
 
 
@@ -89,46 +89,46 @@ def _alpha_arg(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return value
+
+    return parse
 
 
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
-    return value
-
-
-def _open_out(path: str):
+@contextlib.contextmanager
+def _output(path: str):
+    """Yield stdout for ``-``, else the file at ``path``, closed afterwards."""
     if path == "-":
-        return sys.stdout, False
+        yield sys.stdout
+        return
     try:
-        return open(path, "w", encoding="utf-8", newline=""), True
+        fh = open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise _CliError(3, f"cannot open {path!r} for writing: {exc}") from exc
+    with fh:
+        yield fh
+
+
+def _emit_csv(header: str, lines, out: str) -> None:
+    with _output(out) as fh:
+        fh.write(header + "\n")
+        fh.writelines(lines)
 
 
 def _emit_json(obj: dict, out: str) -> None:
     try:
-        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+        text = _json_text(obj)
     except ValueError as exc:
         raise _CliError(4, f"refusing to emit non-finite numbers: {exc}") from exc
-    fh, close = _open_out(out)
-    try:
-        fh.write(text + "\n")
-    finally:
-        if close:
-            fh.close()
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def _read_series(path: str) -> np.ndarray:
@@ -163,59 +163,26 @@ def _read_series(path: str) -> np.ndarray:
 def _cmd_simulate(args) -> int:
     if args.p is not None and args.p != len(args.theta):
         raise _CliError(2, f"--p {args.p} does not match --theta of length {len(args.theta)}")
-    _echo_config(
-        {
-            "command": "simulate",
-            "theta": list(args.theta),
-            "kernel": args.kernel.to_json_dict(),
-            "n": args.n,
-            "seed": args.seed,
-            "out": args.out,
-        }
-    )
+    _echo_config(args)
     x = simulate_series(args.theta, args.kernel, args.n, args.seed)
-    fh, close = _open_out(args.out)
-    try:
-        fh.write("t,x\n")
-        for t, value in enumerate(x, start=1):
-            fh.write(f"{t},{float(value)!r}\n")
-    finally:
-        if close:
-            fh.close()
+    rows = (f"{t},{v!r}\n" for t, v in enumerate(x.tolist(), start=1))
+    _emit_csv("t,x", rows, args.out)
     return 0
 
 
 def _cmd_filter(args) -> int:
-    _echo_config(
-        {
-            "command": "filter",
-            "kernel": args.kernel.to_json_dict(),
-            "n": args.n,
-            "out": args.out,
-        }
-    )
+    _echo_config(args)
     beta, sigma2 = pacf_and_variances(args.kernel, args.n)
-    fh, close = _open_out(args.out)
-    try:
-        fh.write("n,beta,sigma2\n")
-        for m in range(args.n):
-            fh.write(f"{m + 1},{float(beta[m])!r},{float(sigma2[m])!r}\n")
-    finally:
-        if close:
-            fh.close()
+    rows = (
+        f"{m},{b!r},{s!r}\n"
+        for m, b, s in zip(range(1, args.n + 1), beta.tolist(), sigma2.tolist())
+    )
+    _emit_csv("n,beta,sigma2", rows, args.out)
     return 0
 
 
 def _cmd_estimate(args) -> int:
-    _echo_config(
-        {
-            "command": "estimate",
-            "in": args.input,
-            "p": args.p,
-            "kernel": args.kernel.to_json_dict(),
-            "out": args.out,
-        }
-    )
+    _echo_config(args)
     x = _read_series(args.input)
     path = filter_observations(x, args.kernel, args.p)
     result = mle(path)
@@ -237,16 +204,7 @@ def _cmd_test(args) -> int:
         raise _CliError(
             2, f"--p {args.p} does not match --theta0 of length {len(args.theta0)}"
         )
-    _echo_config(
-        {
-            "command": "test",
-            "in": args.input,
-            "kernel": args.kernel.to_json_dict(),
-            "theta0": list(args.theta0),
-            "alpha": args.alpha,
-            "out": args.out,
-        }
-    )
+    _echo_config(args)
     x = _read_series(args.input)
     path = filter_observations(x, args.kernel, len(args.theta0))
     result = lr_test(path, args.theta0, args.alpha)
@@ -271,16 +229,7 @@ def _cmd_lan(args) -> int:
             2,
             f"--u has length {len(args.u)} but --theta0 has length {len(args.theta0)}",
         )
-    _echo_config(
-        {
-            "command": "lan",
-            "in": args.input,
-            "kernel": args.kernel.to_json_dict(),
-            "theta0": list(args.theta0),
-            "u": list(args.u),
-            "out": args.out,
-        }
-    )
+    _echo_config(args)
     x = _read_series(args.input)
     path = filter_observations(x, args.kernel, len(args.theta0))
     score_term, info_term, remainder = lan_decomposition(path, args.theta0, args.u)
@@ -313,14 +262,7 @@ def _cmd_experiment(args) -> int:
         raise _CliError(4, f"{args.config!r}: {exc}") from exc
     except (ValueError, TypeError) as exc:
         raise _CliError(3, f"{args.config!r}: {exc}") from exc
-    _echo_config(
-        {
-            "command": "experiment",
-            "config": cfg.to_json_dict(),
-            "out_dir": args.out_dir,
-            "jobs": args.jobs,
-        }
-    )
+    _echo_config(args, config=cfg.to_json_dict())
     progress = None if _quiet() else lambda line: print(line, file=sys.stderr)
     report = run_experiment(cfg, jobs=args.jobs, progress=progress)
     report.write(args.out_dir)
@@ -329,14 +271,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_validate_kernel(args) -> int:
-    _echo_config(
-        {
-            "command": "validate-kernel",
-            "kernel": args.kernel.to_json_dict(),
-            "horizon": args.horizon,
-            "out": args.out,
-        }
-    )
+    _echo_config(args)
     report = validate_kernel(args.kernel, args.horizon)
     _emit_json(report.to_json_dict(), args.out)
     return 0
@@ -362,32 +297,32 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="simulate an AR(p) series")
     sim.add_argument("--theta", type=_vector_arg, required=True,
                      help="AR coefficients, comma-separated")
-    sim.add_argument("--p", type=_positive_int, default=None,
+    sim.add_argument("--p", type=_int_at_least(1), default=None,
                      help="order check; must equal the length of --theta")
     sim.add_argument("--kernel", type=_kernel_arg, required=True, help=kernel_help)
-    sim.add_argument("--n", type=_positive_int, required=True,
+    sim.add_argument("--n", type=_int_at_least(1), required=True,
                      help="sample size (runtime grows as n^2 for fgn noise, as n for "
                           "white and ar1; n <= 20000 recommended for fgn)")
-    sim.add_argument("--seed", type=_nonneg_int, default=0, help="RNG seed")
+    sim.add_argument("--seed", type=_int_at_least(0), default=0, help="RNG seed")
     sim.add_argument("--out", default="-", help="output CSV path, - for stdout")
     sim.set_defaults(func=_cmd_simulate)
 
     flt = sub.add_parser("filter", help="dump PACF and innovation variances")
     flt.add_argument("--kernel", type=_kernel_arg, required=True, help=kernel_help)
-    flt.add_argument("--n", type=_positive_int, required=True, help="horizon")
+    flt.add_argument("--n", type=_int_at_least(1), required=True, help="horizon")
     flt.add_argument("--out", default="-", help="output CSV path, - for stdout")
     flt.set_defaults(func=_cmd_filter)
 
     est = sub.add_parser("estimate", help="maximum-likelihood estimate from a series")
     est.add_argument("--in", dest="input", required=True, help="input CSV with column x")
-    est.add_argument("--p", type=_positive_int, required=True, help="AR order")
+    est.add_argument("--p", type=_int_at_least(1), required=True, help="AR order")
     est.add_argument("--kernel", type=_kernel_arg, required=True, help=kernel_help)
     est.add_argument("--out", default="-", help="output JSON path, - for stdout")
     est.set_defaults(func=_cmd_estimate)
 
     tst = sub.add_parser("test", help="likelihood-ratio test of theta = theta0")
     tst.add_argument("--in", dest="input", required=True, help="input CSV with column x")
-    tst.add_argument("--p", type=_positive_int, default=None,
+    tst.add_argument("--p", type=_int_at_least(1), default=None,
                      help="order check; must equal the length of --theta0")
     tst.add_argument("--kernel", type=_kernel_arg, required=True, help=kernel_help)
     tst.add_argument("--theta0", type=_vector_arg, required=True,
@@ -410,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--config", required=True, help="experiment config JSON file")
     exp.add_argument("--out-dir", required=True,
                      help="directory for report.json, raw.csv, curves.csv")
-    exp.add_argument("--jobs", type=_positive_int, default=1,
+    exp.add_argument("--jobs", type=_int_at_least(1), default=1,
                      help="worker processes over blocks of up to 64 replicates "
                           "(a config within one block runs on one); results "
                           "independent of job count")
@@ -418,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     vk = sub.add_parser("validate-kernel", help="check a kernel's positive definiteness")
     vk.add_argument("--kernel", type=_kernel_arg, required=True, help=kernel_help)
-    vk.add_argument("--horizon", type=_positive_int, default=512,
+    vk.add_argument("--horizon", type=_int_at_least(1), default=512,
                     help="number of lags to check")
     vk.add_argument("--out", default="-", help="output JSON path, - for stdout")
     vk.set_defaults(func=_cmd_validate_kernel)
@@ -440,9 +375,6 @@ def main(argv=None) -> int:
     except _DEGENERATE as exc:
         print(f"armle: numeric degeneracy: {exc}", file=sys.stderr)
         return 4
-    except _DATA as exc:
-        print(f"armle: data error: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         print(f"armle: i/o error: {exc}", file=sys.stderr)
         return 3

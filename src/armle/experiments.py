@@ -46,7 +46,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from itertools import chain
 from typing import Callable
@@ -141,20 +141,13 @@ class ExperimentConfig:
         validate_kernel(self.kernel, min(200, max(self.sample_sizes)))
 
     def to_json_dict(self) -> dict:
-        out = {
-            "experiment": self.experiment,
-            "theta": list(self.theta),
-            "kernel": self.kernel.to_json_dict(),
-            "sample_sizes": list(self.sample_sizes),
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "alpha": self.alpha,
-        }
-        if self.shift is not None:
-            out["shift"] = list(self.shift)
-        if self.direction is not None:
-            out["direction"] = list(self.direction)
-        return out
+        """Fields in declaration order, tuples as lists, unset options left out."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {
+            k: list(v) if isinstance(v, tuple) else v
+            for k, v in out.items()
+            if v is not None
+        } | {"kernel": self.kernel.to_json_dict()}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ExperimentConfig":
@@ -198,23 +191,16 @@ class ExperimentReport:
     runtime_seconds: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "config": self.config,
-            "per_n": {str(n): self.per_n[n] for n in sorted(self.per_n)},
-            "summary": self.summary,
-            "failures": self.failures,
-            "failure_rate": self.failure_rate,
-            "passed": self.passed,
-            "runtime_seconds": self.runtime_seconds,
-        }
+        """Every field except the raw ``columns`` and ``rows``."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        del out["columns"], out["rows"]
+        return out | {"per_n": {str(n): self.per_n[n] for n in sorted(self.per_n)}}
 
     def write(self, out_dir: str) -> None:
         """Write report.json, raw.csv and curves.csv into ``out_dir``."""
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
+            fh.write(_json_text(self.to_json_dict()))
         with open(os.path.join(out_dir, "raw.csv"), "w", encoding="utf-8") as fh:
             fh.write(",".join(self.columns) + "\n")
             for row in self.rows:
@@ -226,6 +212,11 @@ class ExperimentReport:
             for n in ns:
                 cells = [str(n)] + [_fmt_cell(self.per_n[n].get(k)) for k in keys]
                 fh.write(",".join(cells) + "\n")
+
+
+def _json_text(obj) -> str:
+    """Indented JSON with sorted keys and a trailing newline; NaN raises ValueError."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _fmt_cell(v) -> str:

@@ -57,8 +57,12 @@ def _solve_gram(
     leading batch axes. Returns (theta, cond, ok) of shapes (..., p), (...)
     and (...): ``cond`` is the 2-norm condition number (inf when a Gram matrix
     is not positive definite) and ``ok`` flags the solves with cond within the
-    cap; theta is NaN where ``ok`` is false.
+    cap; theta is NaN where ``ok`` is false. A Gram matrix with a non-finite
+    entry, on which ``eigvalsh`` may not converge, is read as the zero matrix.
     """
+    finite = np.isfinite(gram)
+    if not finite.all():
+        gram = np.where(finite.all(axis=(-2, -1))[..., None, None], gram, 0.0)
     evals = np.linalg.eigvalsh(gram)
     lo, hi = evals[..., 0], evals[..., -1]
     ok = np.isfinite(lo) & np.isfinite(hi) & (lo > 0.0)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -139,15 +139,8 @@ class ValidationReport:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "kernel": self.kernel.to_json_dict(),
-            "horizon": self.horizon,
-            "min_sigma2": self.min_sigma2,
-            "max_abs_beta": self.max_abs_beta,
-            "beta_decay_exponent": self.beta_decay_exponent,
-            "slow_decay": self.slow_decay,
-            "passed": self.passed,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return out | {"kernel": self.kernel.to_json_dict()}
 
 
 def validate_kernel(kernel: CovarianceKernel, horizon: int) -> ValidationReport:

@@ -386,6 +386,8 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         )
         == 2
     )
+    negative_seed = ["--n", "5", "--seed", "-1"]
+    assert main(["simulate", "--theta", "0.5", "--kernel", WHITE_KERNEL] + negative_seed) == 2
     capsys.readouterr()
 
 
@@ -454,7 +456,14 @@ def test_degeneracy_exits_4(tmp_path, capsys):
         main(["estimate", "--in", str(zeros), "--p", "1", "--kernel", WHITE_KERNEL])
         == 4
     )
-    capsys.readouterr()
+    # A finite series whose Gram overflows to inf: singular, not a data error.
+    huge = tmp_path / "huge.csv"
+    x = np.random.default_rng(0).standard_normal(50) * 1e200
+    huge.write_text("x\n" + "".join(f"{float(v)!r}\n" for v in x))
+    with np.errstate(all="ignore"):
+        code = main(["estimate", "--in", str(huge), "--p", "3", "--kernel", WHITE_KERNEL])
+    assert code == 4
+    assert "numeric degeneracy" in capsys.readouterr().err
 
 
 def test_experiment_config_errors(tmp_path, capsys):
@@ -489,14 +498,55 @@ def test_experiment_config_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _echo(capsys) -> dict:
+    line = capsys.readouterr().err.split("\n")[0]
+    assert line.startswith("config: ")
+    return json.loads(line[len("config: ") :])
+
+
 def test_config_echo_and_quiet(tmp_path, capsys, monkeypatch):
+    # The echo is the arguments given, unset options omitted.
+    x = _simulate_file(tmp_path, "x.csv", (0.3,), WHITE_KERNEL, 40, 1)
     monkeypatch.delenv("ARMLE_QUIET")
-    assert main(["filter", "--kernel", WHITE_KERNEL, "--n", "3"]) == 0
-    err = capsys.readouterr().err
-    assert err.startswith("config: ")
-    echoed = json.loads(err.split("\n")[0][len("config: ") :])
-    assert echoed["command"] == "filter"
-    assert echoed["n"] == 3
+    cases = [
+        (
+            ["simulate", "--theta", "0.3", "--kernel", WHITE_KERNEL, "--n", "4"],
+            {"command", "kernel", "n", "out", "seed", "theta"},
+        ),
+        (
+            ["filter", "--kernel", WHITE_KERNEL, "--n", "3"],
+            {"command", "kernel", "n", "out"},
+        ),
+        (
+            ["estimate", "--in", str(x), "--p", "1", "--kernel", WHITE_KERNEL],
+            {"command", "in", "kernel", "out", "p"},
+        ),
+        (
+            ["test", "--in", str(x), "--kernel", WHITE_KERNEL, "--theta0", "0.3"],
+            {"alpha", "command", "in", "kernel", "out", "theta0"},
+        ),
+        (
+            ["lan", "--in", str(x), "--kernel", WHITE_KERNEL, "--theta0", "0.3", "--u", "1"],
+            {"command", "in", "kernel", "out", "theta0", "u"},
+        ),
+        (
+            ["validate-kernel", "--kernel", WHITE_KERNEL, "--horizon", "8"],
+            {"command", "horizon", "kernel", "out"},
+        ),
+    ]
+    for argv, keys in cases:
+        assert main(argv) == 0
+        echoed = _echo(capsys)
+        assert set(echoed) == keys, argv[0]
+        assert echoed["command"] == argv[0]
+        assert echoed["kernel"] == {"family": "white", "params": {}}
+    assert echoed["horizon"] == 8
+    cfg = _experiment_config(tmp_path, replicates=2)
+    assert main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
+    echoed = _echo(capsys)
+    assert set(echoed) == {"command", "config", "jobs", "out_dir"}
+    resolved = armle.ExperimentConfig.from_json_dict(json.loads(cfg.read_text()))
+    assert echoed["config"] == resolved.to_json_dict()
     monkeypatch.setenv("ARMLE_QUIET", "1")
     assert main(["filter", "--kernel", WHITE_KERNEL, "--n", "3"]) == 0
     assert capsys.readouterr().err == ""

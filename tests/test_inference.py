@@ -228,6 +228,17 @@ def test_solve_gram_flags_singular():
         assert ours.tobytes() == flat[idx].tobytes()
     np.testing.assert_array_equal(ok2, [[False, False, True], [True, False, False]])
     assert np.all(np.isnan(theta2[~ok2]))
+    # A non-finite Gram, on which eigvalsh does not converge at p = 3, is
+    # flagged like a singular one, and the caller's stack is left as it was.
+    inf, nan = np.full((3, 3), math.inf), np.full((3, 3), math.nan)
+    gram3 = np.stack([inf, nan, 2.0 * np.eye(3)])
+    before = gram3.copy()
+    theta3, cond3, ok3 = _solve_gram(gram3, np.ones((3, 3)))
+    np.testing.assert_array_equal(ok3, [False, False, True])
+    np.testing.assert_array_equal(cond3, [math.inf, math.inf, 1.0])
+    assert np.all(np.isnan(theta3[:2]))
+    np.testing.assert_array_equal(theta3[2], [0.5, 0.5, 0.5])
+    assert gram3.tobytes() == before.tobytes()
 
 
 def _check_lan_identity(path, theta0, u):
