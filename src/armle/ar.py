@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
-import scipy.signal
 
 from .exceptions import Unstable
 from .noise import CovarianceKernel, sample_noise
@@ -89,6 +88,9 @@ def apply_ar(theta, xi) -> np.ndarray:
     th = as_theta(theta)
     xi = np.ascontiguousarray(xi, dtype=float)
     a = np.concatenate(([1.0], -th))
+    # Lazy: scipy.signal costs ~0.8 CPU-s to import (guard: test_cli::test_lazy_scipy_imports).
+    import scipy.signal
+
     return scipy.signal.lfilter([1.0], a, xi)
 
 

@@ -52,7 +52,6 @@ from itertools import chain
 from typing import Callable
 
 import numpy as np
-import scipy.stats
 from scipy.special import chdtri
 
 from . import rng
@@ -434,6 +433,9 @@ def _agg_consistency(cfg, good):
 
 
 def _agg_clt(cfg, good):
+    # Lazy: scipy.stats costs ~0.7 CPU-s to import (guard: test_cli::test_lazy_scipy_imports).
+    import scipy.stats
+
     p = cfg.p
     target = fisher_info_inverse(cfg.theta)
     per_n = {}
@@ -513,6 +515,9 @@ def _agg_lan_remainder(cfg, good):
 
 
 def _agg_test(cfg, good):
+    # Lazy: scipy.stats costs ~0.7 CPU-s to import (guard: test_cli::test_lazy_scipy_imports).
+    import scipy.stats
+
     crit = float(chdtri(cfg.p, cfg.alpha))
     per_n = {}
     for n, rows_n in good.items():

@@ -117,6 +117,9 @@ def _weights(z: np.ndarray, carry: np.ndarray, pacf: np.ndarray) -> np.ndarray:
     return w
 
 
+# Sums that overflow give a non-finite Gram, which _solve_gram reads as singular
+# and the caller reports in one line, so numpy's warnings would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
 def _gram_moment(w: np.ndarray, z1: np.ndarray, sigma2: np.ndarray, ends):
     """Gram sum_{i<=k} w_i w_i^T / sigma_i**2, shape (..., len(ends), p, p), and
     moment sum_{i<=k} w_i z1_i / sigma_i**2, shape (..., len(ends), p), over the

@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 try:
@@ -18,6 +19,13 @@ from armle.cli import main
 AR1_KERNEL = '{"family": "ar1", "params": {"a": 0.5}}'
 WHITE_KERNEL = '{"family": "white", "params": {}}'
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+# Child interpreters import the same armle package as this process, whether it
+# comes from src/ or from an install.
+CHILD_ENV = {
+    "ARMLE_QUIET": "1",
+    "PATH": "/usr/local/bin:/usr/bin:/bin",
+    "PYTHONPATH": str(Path(armle.__file__).resolve().parents[1]),
+}
 
 
 @pytest.fixture(autouse=True)
@@ -456,14 +464,19 @@ def test_degeneracy_exits_4(tmp_path, capsys):
         main(["estimate", "--in", str(zeros), "--p", "1", "--kernel", WHITE_KERNEL])
         == 4
     )
-    # A finite series whose Gram overflows to inf: singular, not a data error.
+    capsys.readouterr()
+    # A finite series whose Gram overflows to inf: singular, not a data error,
+    # reported in one line and without numpy warnings.
     huge = tmp_path / "huge.csv"
     x = np.random.default_rng(0).standard_normal(50) * 1e200
     huge.write_text("x\n" + "".join(f"{float(v)!r}\n" for v in x))
-    with np.errstate(all="ignore"):
-        code = main(["estimate", "--in", str(huge), "--p", "3", "--kernel", WHITE_KERNEL])
-    assert code == 4
-    assert "numeric degeneracy" in capsys.readouterr().err
+    for argv in (["estimate", "--p", "3"], ["test", "--theta0", "0,0,0"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv + ["--in", str(huge), "--kernel", WHITE_KERNEL])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("armle: numeric degeneracy") and err.count("\n") == 1
 
 
 def test_experiment_config_errors(tmp_path, capsys):
@@ -580,18 +593,11 @@ def test_output_to_file(tmp_path, capsys):
 
 def test_module_and_console_entry_points(tmp_path):
     argv_tail = ["simulate", "--theta", "0.5", "--kernel", WHITE_KERNEL, "--n", "4"]
-    # The children import the same armle package as this process, whether it
-    # comes from src/ or from an install.
-    env = {
-        "ARMLE_QUIET": "1",
-        "PATH": "/usr/local/bin:/usr/bin:/bin",
-        "PYTHONPATH": str(Path(armle.__file__).resolve().parents[1]),
-    }
     module = subprocess.run(
         [sys.executable, "-m", "armle"] + argv_tail,
         capture_output=True,
         text=True,
-        env=env,
+        env=CHILD_ENV,
     )
     assert module.returncode == 0, module.stderr
     assert module.stdout.startswith("t,x\n")
@@ -607,7 +613,58 @@ def test_module_and_console_entry_points(tmp_path):
         [sys.executable, "-c", launcher] + argv_tail,
         capture_output=True,
         text=True,
-        env=env,
+        env=CHILD_ENV,
     )
     assert console.returncode == 0, console.stderr
     assert console.stdout == module.stdout
+
+
+_SCIPY_LOADED = (
+    "import sys\n"
+    "def slow_scipy():\n"
+    "    return sorted(m for m in sys.modules\n"
+    "                  if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats']))\n"
+)
+
+
+def test_lazy_scipy_imports(tmp_path):
+    """estimate and test leave scipy.signal and scipy.stats unloaded; the
+    functions that use them import them on first use."""
+    fgn = '{"family": "fgn", "params": {"H": 0.7}}'
+    series = _simulate_file(tmp_path, "fgn.csv", (0.4, -0.2), fgn, 300, 3)
+    fit = _SCIPY_LOADED + (
+        "import json\n"
+        "import armle\n"
+        "loaded = {'import armle': slow_scipy()}\n"
+        "from armle.cli import main\n"
+        "loaded['import armle.cli'] = slow_scipy()\n"
+        f"args = ['--in', {str(series)!r}, '--kernel', {fgn!r}]\n"
+        "assert main(['estimate', '--p', '2'] + args) == 0\n"
+        "assert main(['test', '--theta0', '0.4,-0.2'] + args) == 0\n"
+        "loaded['estimate, test'] = slow_scipy()\n"
+        "print(json.dumps(loaded))\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", fit], capture_output=True, text=True, env=CHILD_ENV
+    )
+    assert child.returncode == 0, child.stderr
+    loaded = json.loads(child.stdout.splitlines()[-1])
+    assert loaded == {"import armle": [], "import armle.cli": [], "estimate, test": []}
+    # First use in a fresh interpreter imports what each function needs.
+    first_use = _SCIPY_LOADED + (
+        "import numpy as np\n"
+        "from armle import ExperimentConfig, apply_ar, run_experiment, white\n"
+        "x = apply_ar((0.5,), np.ones(4))\n"
+        "assert x.tolist() == [1.0, 1.5, 1.75, 1.875], x\n"
+        "assert 'scipy.signal' in slow_scipy()\n"
+        "clt = run_experiment(ExperimentConfig('clt', (0.3,), white(), (200,), 8, 1))\n"
+        "assert 0.0 <= clt.per_n[200]['ks_pvalue_1'] <= 1.0\n"
+        "power = run_experiment(ExperimentConfig(\n"
+        "    'test_power', (0.3,), white(), (200,), 8, 1, shift=(2.0,)))\n"
+        "assert 0.05 < power.summary['predicted_power'] < 1.0\n"
+        "assert 'scipy.stats' in slow_scipy()\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", first_use], capture_output=True, text=True, env=CHILD_ENV
+    )
+    assert child.returncode == 0, child.stderr
