@@ -46,7 +46,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from itertools import chain
 from typing import Callable
@@ -60,7 +60,7 @@ from .exceptions import Unstable
 from .filtering import MARKOV_FAMILIES, _generate, _whiten
 from .inference import _solve_gram
 from .noise import CovarianceKernel, kernel_from_json, validate_kernel
-from .state import _carry, _gram_moment, _weights
+from .state import _gram_moment, _lags
 
 #: A report passes when at most this fraction of raw rows failed.
 FAILURE_BUDGET = 0.01
@@ -86,16 +86,16 @@ class ExperimentConfig:
     direction: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", tuple(float(v) for v in self.theta))
+        def floats(v):
+            return None if v is None else tuple(float(x) for x in v)
+
+        coerce = {"experiment": str, "theta": floats, "replicates": int, "seed": int,
+                  "alpha": float, "shift": floats, "direction": floats}
+        for name, to in coerce.items():
+            object.__setattr__(self, name, to(getattr(self, name)))
         object.__setattr__(
             self, "sample_sizes", tuple(sorted({int(n) for n in self.sample_sizes}))
         )
-        if self.shift is not None:
-            object.__setattr__(self, "shift", tuple(float(v) for v in self.shift))
-        if self.direction is not None:
-            object.__setattr__(
-                self, "direction", tuple(float(v) for v in self.direction)
-            )
 
     @property
     def p(self) -> int:
@@ -123,14 +123,14 @@ class ExperimentConfig:
             if len(self.shift) != self.p:
                 raise ValueError("shift must have the same length as theta")
         if self.experiment == "test_power":
-            n_min = min(self.sample_sizes)
-            moved = np.array(self.theta) + np.array(self.shift) / math.sqrt(n_min)
-            try:
-                require_stable(moved)
-            except Unstable as exc:
-                raise Unstable(
-                    f"theta + shift/sqrt(n) leaves the stability region at n={n_min}: {exc}"
-                ) from exc
+            # The stability region is not convex for p >= 3: check every n.
+            for theta, n, _, _ in _draws(self):
+                try:
+                    require_stable(theta)
+                except Unstable as exc:
+                    raise Unstable(
+                        f"theta + shift/sqrt(n) leaves the stability region at n={n}: {exc}"
+                    ) from exc
         if self.experiment == "lil":
             if min(self.sample_sizes) < 16:
                 raise ValueError("lil needs sample sizes of at least 16")
@@ -150,23 +150,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ExperimentConfig":
+        """Inverse of ``to_json_dict``: the fields by name, unset options left out."""
         if not isinstance(obj, dict):
             raise ValueError("experiment config must be a JSON object")
-        required = {"experiment", "theta", "kernel", "sample_sizes", "replicates", "seed"}
-        missing = required - set(obj)
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(obj)
         if missing:
             raise ValueError(f"experiment config is missing keys: {sorted(missing)}")
-        return cls(
-            experiment=str(obj["experiment"]),
-            theta=tuple(obj["theta"]),
-            kernel=kernel_from_json(obj["kernel"]),
-            sample_sizes=tuple(obj["sample_sizes"]),
-            replicates=int(obj["replicates"]),
-            seed=int(obj["seed"]),
-            alpha=float(obj.get("alpha", 0.05)),
-            shift=tuple(obj["shift"]) if obj.get("shift") is not None else None,
-            direction=tuple(obj["direction"]) if obj.get("direction") is not None else None,
-        )
+        args = {f.name: obj[f.name] for f in fields(cls) if f.name in obj}
+        return cls(**args | {"kernel": kernel_from_json(obj["kernel"])})
 
 
 @dataclass(eq=False)
@@ -240,7 +231,7 @@ def _block_size(cfg: ExperimentConfig) -> int:
     its budget is 2**17 steps. White and ar1 kernels have no walk to share;
     their budget of 2**14 steps keeps each (R, n) array of a block within
     128 KiB, in cache and on the heap rather than in freshly mapped pages, and
-    each (R, n, p) array within 128 p KiB. The Gram at the sample sizes is
+    the (R, n, p) score weights within 128 p KiB. The Gram at the sample sizes is
     (R, len(sizes), p, p); only qsl and lil, which read it at every k, hold an
     (R, n, p, p) Gram of up to 128 p**2 KiB. The size depends on the config
     alone, so the partition into blocks, and with it every report, is the
@@ -253,14 +244,14 @@ def _block_size(cfg: ExperimentConfig) -> int:
 def _simulate_block(theta, kernel: CovarianceKernel, eps: np.ndarray):
     """Simulate a block of replicates from innovations eps, shape (R, n).
 
-    Returns (w, z1, sigma2): score weights (R, n, p), first whitened component
-    (R, n), prediction variances (n,). The filter is walked once per block
-    (not at all for white and ar1 kernels).
+    Returns (w, z1, sigma2): score weights, lags 1..p of the whitened series
+    (R, n, p); the whitened series (R, n); prediction variances (n,). Each
+    filter pass walks once per block (not at all for white and ar1 kernels).
     """
     x = apply_ar(theta, _generate(kernel, eps))
-    z, sigma2, pacf = _whiten(kernel, x, len(theta))
+    z, sigma2, pacf = _whiten(kernel, x)
     del x
-    return _weights(z, _carry(z, pacf), pacf), z[..., 0].copy(), sigma2
+    return _lags(z, pacf, len(theta)), z, sigma2
 
 
 def _draws(cfg: ExperimentConfig) -> list[tuple]:

@@ -19,7 +19,9 @@ Everything is O(n) memory in streaming form; materializing all rows
 The stream depends on the kernel and n only, never on data. `_generate` and
 `_whiten` therefore apply one walk to every series of a batch at once (time
 along the last axis). The Markov kernels (white, ar1) skip the walk for
-their O(n) closed form there and in `pacf_and_variances`.
+their O(n) closed form there and in `pacf_and_variances`. `_whiten` whitens
+the series alone, one dot product per step: lag j + 1 of the whitened state
+Z_m is lag j of the score weight w_m, so `state._lags` derives the lags.
 """
 from __future__ import annotations
 
@@ -124,37 +126,32 @@ def _generate(kernel: CovarianceKernel, eps: np.ndarray) -> np.ndarray:
 
 
 def _whiten(
-    kernel: CovarianceKernel, x: np.ndarray, p: int
+    kernel: CovarianceKernel, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Whitened lags of observations x, shape (..., n), along the last axis.
+    """Whiten observations x, shape (..., n), along the last axis.
 
-    Returns (z, sigma2, pacf): ``z[..., m-1, j] = sum_{i<=m} k(m, i) x_{i-j}``
-    (x_k = 0 for k <= 0), shape (..., n, p); sigma_1**2..sigma_n**2; and
-    pacf[m] = beta_m for 1 <= m <= n-1 with pacf[0] = 0.
+    Returns (z, sigma2, pacf): ``z[..., m-1] = sum_{i<=m} k(m, i) x_i``, shape
+    (..., n); sigma_1**2..sigma_n**2; and pacf[m] = beta_m for 1 <= m <= n-1
+    with pacf[0] = 0.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
-    z = np.zeros(x.shape + (p,))
     pacf = np.zeros(n)
     markov = _markov(kernel, n)
     if markov is not None:
         a, sigma = markov
         pacf[1:2] = a
-        for j in range(min(p, n)):
-            z[..., j, j] = x[..., 0]
-            # x_m - a x_{m-1}, summed in place.
-            lag = z[..., j + 1 :, j]
-            np.multiply(x[..., : n - j - 1], -a, out=lag)
-            lag += x[..., 1 : n - j]
+        z = x.copy()
+        z[..., 1:] -= a * x[..., :-1]
         return z, sigma**2, pacf
+    z = np.empty_like(x)
     sigma2 = np.empty(n)
-    x_t, z_t = x.T, np.moveaxis(z, (-2, -1), (0, 1))
+    x_t, z_t = x.T, z.T
     for step in _stream(kernel, n):
         m = step.index
         sigma2[m - 1] = step.sigma2
         pacf[m - 1] = step.beta_prev
-        for j in range(min(p, m)):
-            z_t[m - 1, j] = step.row[j:] @ x_t[: m - j]
+        z_t[m - 1] = step.row @ x_t[:m]
     return z, sigma2, pacf
 
 

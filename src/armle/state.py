@@ -15,7 +15,9 @@ zeta_m = T(theta, beta_{m-1}) zeta_{m-1} + e_1 sigma_m eps_m, where T is the
 block transition [[A, beta*A], [beta*I, I]]. Writing w_m for the score weight
 (first block of zeta_{m-1} plus beta_{m-1} times the second), the innovation
 at parameter theta is eps_m(theta) = (Z_m[0] - w_m . theta) / sigma_m and the
-exact log-likelihood is Gaussian in these innovations.
+exact log-likelihood is Gaussian in these innovations. The lower rows of T say
+that lag j + 1 of Z_m is lag j of w_m, so only the series itself is whitened
+and `_lags` derives lags 1..p from it.
 
 The construction depends only on the data and the kernel, never on theta; all
 theta-dependence enters through the quadratic form in (gram, moment).
@@ -93,7 +95,8 @@ def filter_observations(x, kernel: CovarianceKernel, p: int) -> FilteredPath:
         raise TooShort(f"need at least p + 1 = {p + 1} observations, got {n}")
     if not np.all(np.isfinite(x)):
         raise ValueError("observations must be finite")
-    z, sigma2, pacf = _whiten(kernel, x, p)
+    z0, sigma2, pacf = _whiten(kernel, x)
+    z = np.column_stack([z0, _lags(z0, pacf, p - 1)])
     return FilteredPath(
         states=np.hstack([z, _carry(z, pacf)]), sigma2=sigma2, pacf=pacf, p=p
     )
@@ -108,13 +111,21 @@ def _carry(z: np.ndarray, pacf: np.ndarray) -> np.ndarray:
     return carry
 
 
-def _weights(z: np.ndarray, carry: np.ndarray, pacf: np.ndarray) -> np.ndarray:
-    """Score weights w_m = Z_{m-1} + beta_{m-1} * carry_{m-1} and w_1 = 0, shape (..., n, p)."""
-    w = np.zeros_like(z)
-    body = w[..., 1:, :]
-    np.multiply(pacf[1:, None], carry[..., :-1, :], out=body)
-    body += z[..., :-1, :]
-    return w
+def _lags(z0: np.ndarray, pacf: np.ndarray, k: int) -> np.ndarray:
+    """Lags 1..k, shape (..., n, k), of a whitened series z0, shape (..., n).
+
+    Lag j + 1 of Z_m is lag j of the score weight w_m, so each lag is the weight
+    map W(u)_m = u_{m-1} + beta_{m-1} sum_{i<m-1} beta_i u_i (W(u)_1 = 0) of the
+    one before, and lags 1..p are the score weights w_1..w_n.
+    """
+    lags = np.zeros(z0.shape + (k,))
+    u = z0[..., None]
+    for j in range(k):
+        body = lags[..., 1:, j : j + 1]
+        np.multiply(pacf[1:, None], _carry(u, pacf)[..., :-1, :], out=body)
+        body += u[..., :-1, :]
+        u = lags[..., j : j + 1]
+    return lags
 
 
 # Sums that overflow give a non-finite Gram, which _solve_gram reads as singular
@@ -153,7 +164,7 @@ def _gram_moment(w: np.ndarray, z1: np.ndarray, sigma2: np.ndarray, ends):
 
 def _path_weights(path: FilteredPath) -> np.ndarray:
     """Score weights w_1..w_n of a path, shape (n, p); w_1 = 0 since zeta_0 = 0."""
-    return _weights(path.whitened, path.states[:, path.p :], path.pacf)
+    return _lags(path.states[:, 0], path.pacf, path.p)
 
 
 def innovations(path: FilteredPath, theta) -> np.ndarray:

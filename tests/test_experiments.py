@@ -19,6 +19,7 @@ from armle import (
     white,
 )
 from armle import experiments
+from armle.cli import main
 from armle.experiments import _block_size, _simulate_block
 from armle.inference import _solve_gram
 from armle.state import _gram_moment, _path_weights
@@ -257,6 +258,22 @@ def test_power_exceeds_size_under_shift():
     report = run_experiment(cfg)
     assert report.per_n[600]["rejection_rate"] > 0.3
     assert 0.0 <= report.summary["predicted_power"] <= 1.0
+
+
+def test_power_checks_stability_at_every_sample_size(tmp_path):
+    # For p >= 3 the stability region is not convex: theta + shift/sqrt(n) is
+    # stable at n = 100 but explosive (root modulus 1.0074) at n = 1600.
+    cfg = _base_cfg(
+        experiment="test_power",
+        theta=(-1.66361136, -0.67012713, 0.00893431),
+        shift=(39.6624161, -10.4378817, 4.0020369),
+        sample_sizes=(100, 1600),
+    )
+    with pytest.raises(Unstable, match="n=1600"):
+        cfg.validate()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg.to_json_dict()))
+    assert main(["experiment", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 4
 
 
 def test_lan_remainder_zero_shift_is_exact_zero():

@@ -135,10 +135,13 @@ def test_whitening_matches_dense_cholesky_at_large_n(kernel):
     chol = np.linalg.cholesky(cov)
     innov = armle.standard_normals(armle.substream(3), n)
     x = chol @ innov
-    expected = scipy.linalg.solve_triangular(chol, x, lower=True)
-    eps, _ = _whiten(x, kernel)
     evals = np.linalg.eigvalsh(cov)
     bound = 16.0 * evals[-1] / evals[0] * 2.0**-52
-    assert np.max(np.abs(eps - expected)) <= bound
+    # Every lag j < 5 of the state, lag j of Z_m being sum_i k(m, i) x_{i-j}.
+    path = filter_observations(x, kernel, 5)
+    for j in range(5):
+        shifted = np.concatenate([np.zeros(j), x[: n - j]])
+        expected = scipy.linalg.solve_triangular(chol, shifted, lower=True)
+        assert np.max(np.abs(path.whitened[:, j] / path.sigma - expected)) <= bound
     # Generating direction: the sampled path is L eps.
     assert np.max(np.abs(armle.noise_from_innovations(kernel, innov) - x)) <= bound
