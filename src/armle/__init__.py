@@ -3,8 +3,8 @@
 The model is X_n = theta_1 X_{n-1} + ... + theta_p X_{n-p} + xi_n with zero
 pre-sample values, where (xi_n) is a stationary centered Gaussian process
 with a known covariance kernel.  The package whitens the noise with the
-Durbin-Levinson recursion, evaluates the exact likelihood through a
-2p-dimensional filtered state, solves the closed-form MLE, and provides the
+Durbin-Levinson recursion, evaluates the exact likelihood from the whitened
+series and its p score weights, solves the closed-form MLE, and provides the
 likelihood-ratio test, the local quadratic likelihood expansion, and a Monte
 Carlo harness that checks the asymptotic behavior of all of these.
 """

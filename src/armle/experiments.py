@@ -57,10 +57,10 @@ from scipy.special import chdtri
 from . import rng
 from .ar import apply_ar, fisher_info, fisher_info_inverse, require_stable
 from .exceptions import Unstable
-from .filtering import MARKOV_FAMILIES, _generate, _whiten
+from .filtering import MARKOV_FAMILIES, _generate
 from .inference import _solve_gram
 from .noise import CovarianceKernel, kernel_from_json, validate_kernel
-from .state import _gram_moment, _lags
+from .state import FilteredPath, _filtered_path, _gram_moment
 
 #: A report passes when at most this fraction of raw rows failed.
 FAILURE_BUDGET = 0.01
@@ -89,13 +89,15 @@ class ExperimentConfig:
         def floats(v):
             return None if v is None else tuple(float(x) for x in v)
 
-        coerce = {"experiment": str, "theta": floats, "replicates": int, "seed": int,
+        def sizes(v):
+            return tuple(sorted({_integer("sample_sizes", n) for n in v}))
+
+        coerce = {"experiment": str, "theta": floats, "sample_sizes": sizes,
+                  "replicates": partial(_integer, "replicates"),
+                  "seed": partial(_integer, "seed"),
                   "alpha": float, "shift": floats, "direction": floats}
         for name, to in coerce.items():
             object.__setattr__(self, name, to(getattr(self, name)))
-        object.__setattr__(
-            self, "sample_sizes", tuple(sorted({int(n) for n in self.sample_sizes}))
-        )
 
     @property
     def p(self) -> int:
@@ -156,8 +158,19 @@ class ExperimentConfig:
         missing = {f.name for f in fields(cls) if f.default is MISSING} - set(obj)
         if missing:
             raise ValueError(f"experiment config is missing keys: {sorted(missing)}")
-        args = {f.name: obj[f.name] for f in fields(cls) if f.name in obj}
-        return cls(**args | {"kernel": kernel_from_json(obj["kernel"])})
+        unknown = set(obj) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"experiment config has unknown keys: {sorted(unknown)}")
+        return cls(**obj | {"kernel": kernel_from_json(obj["kernel"])})
+
+
+def _integer(name: str, v) -> int:
+    """``v`` as an int: an integer or an integral float. Anything else, a bool
+    included, raises ValueError naming the field."""
+    integral = isinstance(v, (float, np.floating)) and float(v).is_integer()
+    if isinstance(v, bool) or not (isinstance(v, (int, np.integer)) or integral):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    return int(v)
 
 
 @dataclass(eq=False)
@@ -241,17 +254,10 @@ def _block_size(cfg: ExperimentConfig) -> int:
     return min(64, max(1, steps // max(cfg.sample_sizes)))
 
 
-def _simulate_block(theta, kernel: CovarianceKernel, eps: np.ndarray):
-    """Simulate a block of replicates from innovations eps, shape (R, n).
-
-    Returns (w, z1, sigma2): score weights, lags 1..p of the whitened series
-    (R, n, p); the whitened series (R, n); prediction variances (n,). Each
-    filter pass walks once per block (not at all for white and ar1 kernels).
-    """
-    x = apply_ar(theta, _generate(kernel, eps))
-    z, sigma2, pacf = _whiten(kernel, x)
-    del x
-    return _lags(z, pacf, len(theta)), z, sigma2
+def _simulate_block(theta, kernel: CovarianceKernel, eps: np.ndarray) -> FilteredPath:
+    """Filtered path of a block of replicates simulated from innovations eps, shape
+    (R, n), with one filter walk per block (none for white and ar1 kernels)."""
+    return _filtered_path(kernel, apply_ar(theta, _generate(kernel, eps)), len(theta))
 
 
 def _draws(cfg: ExperimentConfig) -> list[tuple]:
@@ -278,9 +284,9 @@ def _rows_block(cfg: ExperimentConfig, reps: range) -> list[dict]:
         eps = np.empty((len(reps), n))
         for k, rep in enumerate(reps):
             eps[k] = rng.standard_normals(rng.substream(*prefix, rep), n)
-        w, z1, sigma2 = _simulate_block(theta, cfg.kernel, eps)
+        path = _simulate_block(theta, cfg.kernel, eps)
         del eps  # block-sized arrays are dropped once used, to bound peak memory
-        gram, moment = _gram_moment(w, z1, sigma2, range(1, n + 1) if every_k else sizes)
+        gram, moment = _gram_moment(path, range(1, n + 1) if every_k else sizes)
         theta_hat, _, solved = _solve_gram(gram, moment)
         ok, columns = columns_of(cfg, np.array(sizes), gram, theta_hat, solved)
         rows += _raw_rows(reps, sizes, ok, columns)
@@ -406,14 +412,18 @@ def aggregate(cfg: ExperimentConfig, rows: list[dict]) -> tuple[dict, dict]:
     return per_n, summary
 
 
-def _agg_consistency(cfg, good):
+def _per_n(good, key, **stats):
+    """{n: {name: f(v)}} for each statistic f of the values v of ``key`` in the
+    ok rows of n; None where n has no ok row."""
     per_n = {}
     for n, rows_n in good.items():
-        errs = np.array([r["err"] for r in rows_n])
-        per_n[n] = {
-            "median_err": float(np.median(errs)) if errs.size else None,
-            "mean_err": float(np.mean(errs)) if errs.size else None,
-        }
+        v = np.array([r[key] for r in rows_n], dtype=float)
+        per_n[n] = {name: float(f(v)) if v.size else None for name, f in stats.items()}
+    return per_n
+
+
+def _agg_consistency(cfg, good):
+    per_n = _per_n(good, "err", median_err=np.median, mean_err=np.mean)
     ns = [n for n in sorted(per_n) if per_n[n]["median_err"] not in (None, 0.0)]
     slope = None
     if len(ns) >= 2:
@@ -457,12 +467,7 @@ def _agg_clt(cfg, good):
 
 
 def _agg_qsl(cfg, good):
-    per_n = {}
-    for n, rows_n in good.items():
-        ratios = np.array([r["trace_ratio"] for r in rows_n])
-        per_n[n] = {
-            "median_trace_ratio": float(np.median(ratios)) if ratios.size else None,
-        }
+    per_n = _per_n(good, "trace_ratio", median_trace_ratio=np.median)
     target = float(np.trace(fisher_info_inverse(cfg.theta)))
     return per_n, {"target_trace": target}
 
@@ -471,13 +476,10 @@ def _agg_lil(cfg, good):
     v = _direction(cfg)
     inv = fisher_info_inverse(cfg.theta)
     envelope = float(math.sqrt(v @ inv @ v))
-    per_n = {}
-    for n, rows_n in good.items():
-        runmax = np.array([r["running_max_abs_s"] for r in rows_n])
-        per_n[n] = {
-            "within_share": float(np.mean(runmax <= 2.0 * envelope)) if runmax.size else None,
-            "max_running": float(runmax.max()) if runmax.size else None,
-        }
+    per_n = _per_n(
+        good, "running_max_abs_s",
+        within_share=lambda m: np.mean(m <= 2.0 * envelope), max_running=np.max,
+    )
     n_last = max(per_n) if per_n else None
     final_share = per_n[n_last]["within_share"] if n_last is not None else None
     return per_n, {
@@ -488,12 +490,7 @@ def _agg_lil(cfg, good):
 
 
 def _agg_lan_remainder(cfg, good):
-    per_n = {}
-    for n, rows_n in good.items():
-        rems = np.array([abs(r["remainder"]) for r in rows_n])
-        per_n[n] = {
-            "median_abs_remainder": float(np.median(rems)) if rems.size else None,
-        }
+    per_n = _per_n(good, "remainder", median_abs_remainder=lambda v: np.median(np.abs(v)))
     meds = [
         per_n[n]["median_abs_remainder"]
         for n in sorted(per_n)
@@ -510,18 +507,10 @@ def _agg_test(cfg, good):
     import scipy.stats
 
     crit = float(chdtri(cfg.p, cfg.alpha))
-    per_n = {}
-    for n, rows_n in good.items():
-        rejects = np.array([r["reject"] for r in rows_n], dtype=float)
-        rate = float(np.mean(rejects)) if rejects.size else None
-        per_n[n] = {
-            "rejection_rate": rate,
-            "rate_stderr": (
-                float(math.sqrt(max(rate * (1.0 - rate), 0.0) / rejects.size))
-                if rejects.size
-                else None
-            ),
-        }
+    per_n = _per_n(
+        good, "reject", rejection_rate=np.mean,
+        rate_stderr=lambda v: math.sqrt(max(np.mean(v) * (1.0 - np.mean(v)), 0.0) / v.size),
+    )
     summary = {"alpha": cfg.alpha, "critical": float(crit)}
     if cfg.experiment == "test_power":
         u = np.array(cfg.shift)

@@ -21,7 +21,7 @@ The stream depends on the kernel and n only, never on data. `_generate` and
 along the last axis). The Markov kernels (white, ar1) skip the walk for
 their O(n) closed form there and in `pacf_and_variances`. `_whiten` whitens
 the series alone, one dot product per step: lag j + 1 of the whitened state
-Z_m is lag j of the score weight w_m, so `state._lags` derives the lags.
+Z_m is lag j of the score weight w_m, so `state._filtered_path` derives the lags.
 """
 from __future__ import annotations
 

@@ -1,4 +1,4 @@
-"""Estimation and testing from a filtered state path.
+"""Estimation and testing from a filtered path.
 
 The log-likelihood is exactly quadratic in theta, so the maximizer solves the
 normal equations gram @ theta = moment, the likelihood-ratio statistic equals
@@ -18,7 +18,7 @@ from scipy.special import chdtrc, chdtri
 
 from .ar import as_theta, fisher_info, require_stable
 from .exceptions import SingularGram
-from .state import FilteredPath, _check_theta, _gram_moment, _path_weights, accumulate
+from .state import FilteredPath, _check_theta, _gram_moment, accumulate
 
 #: Gram matrices with a larger 2-norm condition number are rejected as singular.
 GRAM_CONDITION_CAP = 1e12
@@ -82,7 +82,7 @@ def mle(path: FilteredPath) -> EstimationResult:
     SingularGram
         If the Gram matrix is singular or its condition number exceeds the cap.
     """
-    gram, moment = _gram_moment(_path_weights(path), path.states[:, 0], path.sigma2, (path.n,))
+    gram, moment = _gram_moment(path, (path.n,))
     theta, cond, ok = _solve_gram(gram, moment)
     if not ok[0]:
         raise SingularGram(cond[0])

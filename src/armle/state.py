@@ -1,4 +1,4 @@
-"""The 2p-dimensional filtered state process and the exact log-likelihood.
+"""The filtered path and the exact log-likelihood.
 
 From observations x_1..x_n and a noise kernel, each lag vector
 Y_m = (x_m, ..., x_{m-p+1}) (zero padded below index 1) is whitened
@@ -6,7 +6,7 @@ componentwise with the current filter row,
 
     Z_m = sum_{i<=m} k(m, i) Y_i,
 
-and paired with the PACF-weighted running sum to form the state
+and paired with the PACF-weighted running sum to form the 2p-dimensional state
 
     zeta_m = (Z_m, sum_{k<m} beta_k Z_k),        zeta_0 = 0.
 
@@ -17,10 +17,12 @@ block transition [[A, beta*A], [beta*I, I]]. Writing w_m for the score weight
 at parameter theta is eps_m(theta) = (Z_m[0] - w_m . theta) / sigma_m and the
 exact log-likelihood is Gaussian in these innovations. The lower rows of T say
 that lag j + 1 of Z_m is lag j of w_m, so only the series itself is whitened
-and `_lags` derives lags 1..p from it.
+and `_filtered_path` derives lags 1..p from it.
 
-The construction depends only on the data and the kernel, never on theta; all
-theta-dependence enters through the quadratic form in (gram, moment).
+The state zeta_m is the derivation: the likelihood, score and Gram read only
+Z_m[0], w_m and sigma_m**2, which is all `FilteredPath` keeps. It depends only
+on the data and the kernel, never on theta; all theta-dependence enters
+through the quadratic form in (gram, moment).
 """
 from __future__ import annotations
 
@@ -38,34 +40,31 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 
 @dataclass(frozen=True, eq=False)
 class FilteredPath:
-    """Filtered state path built from one observation series.
+    """Filtered path of one series, or of a block of replicates along the
+    leading axes of ``z`` and ``w``. The state zeta_m is the derivation; the
+    path keeps its first entry Z_m[0] and the score weights w_m.
 
     Fields
     ------
-    states : ndarray, shape (n, 2p)
-        Rows are zeta_1 .. zeta_n.
+    z : ndarray, shape (..., n)
+        Whitened series Z_1[0] .. Z_n[0].
+    w : ndarray, shape (..., n, p)
+        Score weights w_1 .. w_n, w_1 = 0; w_m holds lags 1..p of Z_m.
     sigma2 : ndarray, shape (n,)
         Prediction variances sigma_1**2 .. sigma_n**2.
-    pacf : ndarray, shape (n,)
-        pacf[m] = beta_m for 1 <= m <= n-1 and pacf[0] = 0; pacf[m] weights
-        the transition from state m to state m+1 and the score weight w_{m+1}.
-    p : int
-        Model order.
     """
 
-    states: np.ndarray
+    z: np.ndarray
+    w: np.ndarray
     sigma2: np.ndarray
-    pacf: np.ndarray
-    p: int
 
     @property
     def n(self) -> int:
-        return self.states.shape[0]
+        return self.z.shape[-1]
 
     @property
-    def whitened(self) -> np.ndarray:
-        """First block Z_1..Z_n, shape (n, p)."""
-        return self.states[:, : self.p]
+    def p(self) -> int:
+        return self.w.shape[-1]
 
     @property
     def sigma(self) -> np.ndarray:
@@ -73,7 +72,7 @@ class FilteredPath:
 
 
 def filter_observations(x, kernel: CovarianceKernel, p: int) -> FilteredPath:
-    """Build the filtered state path from observations.
+    """Build the filtered path from observations.
 
     Parameters
     ----------
@@ -95,45 +94,39 @@ def filter_observations(x, kernel: CovarianceKernel, p: int) -> FilteredPath:
         raise TooShort(f"need at least p + 1 = {p + 1} observations, got {n}")
     if not np.all(np.isfinite(x)):
         raise ValueError("observations must be finite")
-    z0, sigma2, pacf = _whiten(kernel, x)
-    z = np.column_stack([z0, _lags(z0, pacf, p - 1)])
-    return FilteredPath(
-        states=np.hstack([z, _carry(z, pacf)]), sigma2=sigma2, pacf=pacf, p=p
-    )
+    return _filtered_path(kernel, x, p)
 
 
-def _carry(z: np.ndarray, pacf: np.ndarray) -> np.ndarray:
-    """Second state block sum_{k<m} beta_k Z_k of whitened lags z, shape (..., n, p)."""
-    carry = np.zeros_like(z)
-    body = carry[..., 1:, :]
-    np.multiply(pacf[1:, None], z[..., :-1, :], out=body)
-    np.cumsum(body, axis=-2, out=body)
-    return carry
+def _filtered_path(kernel: CovarianceKernel, x: np.ndarray, p: int) -> FilteredPath:
+    """Whiten observations x, shape (..., n), and derive the score weights w,
+    shape (..., n, p), from the whitened series z.
 
-
-def _lags(z0: np.ndarray, pacf: np.ndarray, k: int) -> np.ndarray:
-    """Lags 1..k, shape (..., n, k), of a whitened series z0, shape (..., n).
-
-    Lag j + 1 of Z_m is lag j of the score weight w_m, so each lag is the weight
-    map W(u)_m = u_{m-1} + beta_{m-1} sum_{i<m-1} beta_i u_i (W(u)_1 = 0) of the
-    one before, and lags 1..p are the score weights w_1..w_n.
+    w_m holds lags 1..p of Z_m, and lag j + 1 of Z_m is lag j of w_m, so each
+    lag is the weight map W(u)_m = u_{m-1} + beta_{m-1} c_{m-1} of the one
+    before, with the carry c_m = sum_{i<m} beta_i u_i (c_1 = 0, W(u)_1 = 0),
+    starting from u = z.
     """
-    lags = np.zeros(z0.shape + (k,))
-    u = z0[..., None]
-    for j in range(k):
-        body = lags[..., 1:, j : j + 1]
-        np.multiply(pacf[1:, None], _carry(u, pacf)[..., :-1, :], out=body)
-        body += u[..., :-1, :]
-        u = lags[..., j : j + 1]
-    return lags
+    z, sigma2, pacf = _whiten(kernel, x)
+    del x  # a simulated block is dropped once whitened, to bound peak memory
+    w = np.zeros(z.shape + (p,))
+    carry = np.zeros_like(z)
+    u = z
+    for j in range(p):
+        np.multiply(pacf[1:], u[..., :-1], out=carry[..., 1:])
+        np.cumsum(carry, axis=-1, out=carry)
+        lag = w[..., j]
+        np.multiply(pacf[1:], carry[..., :-1], out=lag[..., 1:])
+        lag[..., 1:] += u[..., :-1]
+        u = lag
+    return FilteredPath(z=z, w=w, sigma2=sigma2)
 
 
 # Sums that overflow give a non-finite Gram, which _solve_gram reads as singular
 # and the caller reports in one line, so numpy's warnings would only repeat it.
 @np.errstate(over="ignore", invalid="ignore")
-def _gram_moment(w: np.ndarray, z1: np.ndarray, sigma2: np.ndarray, ends):
+def _gram_moment(path: FilteredPath, ends):
     """Gram sum_{i<=k} w_i w_i^T / sigma_i**2, shape (..., len(ends), p, p), and
-    moment sum_{i<=k} w_i z1_i / sigma_i**2, shape (..., len(ends), p), over the
+    moment sum_{i<=k} w_i z_i / sigma_i**2, shape (..., len(ends), p), over the
     first k terms for each k in ``ends``, increasing integers in 1..n.
 
     With an end at every k (len(ends) == n) the sums are running cumsums of the
@@ -142,13 +135,13 @@ def _gram_moment(w: np.ndarray, z1: np.ndarray, sigma2: np.ndarray, ends):
     size n * p * p is formed; for one series and ends = (n,) the Gram is
     sw^T sw with sw = w / sigma.
     """
-    sw = w / np.sqrt(sigma2)[:, None]
-    y = z1 / sigma2
-    if len(ends) == w.shape[-2]:
+    sw = path.w / path.sigma[:, None]
+    y = path.z / path.sigma2
+    if len(ends) == path.n:
         gram = sw[..., :, None] * sw[..., None, :]
         del sw
         np.cumsum(gram, axis=-3, out=gram)
-        moment = w * y[..., None]
+        moment = path.w * y[..., None]
         np.cumsum(moment, axis=-2, out=moment)
         return gram, moment
     cuts = list(zip((0, *ends[:-1]), ends))
@@ -156,21 +149,16 @@ def _gram_moment(w: np.ndarray, z1: np.ndarray, sigma2: np.ndarray, ends):
         [sw[..., a:b, :].swapaxes(-1, -2) @ sw[..., a:b, :] for a, b in cuts], axis=-3
     )
     moment = np.stack(
-        [(w[..., a:b, :].swapaxes(-1, -2) @ y[..., a:b, None])[..., 0] for a, b in cuts],
+        [(path.w[..., a:b, :].swapaxes(-1, -2) @ y[..., a:b, None])[..., 0] for a, b in cuts],
         axis=-2,
     )
     return np.cumsum(gram, axis=-3), np.cumsum(moment, axis=-2)
 
 
-def _path_weights(path: FilteredPath) -> np.ndarray:
-    """Score weights w_1..w_n of a path, shape (n, p); w_1 = 0 since zeta_0 = 0."""
-    return _lags(path.states[:, 0], path.pacf, path.p)
-
-
 def innovations(path: FilteredPath, theta) -> np.ndarray:
     """Innovation sequence eps_1(theta)..eps_n(theta) of the path."""
     th = _check_theta(path, theta)
-    return (path.states[:, 0] - _path_weights(path) @ th) / path.sigma
+    return (path.z - path.w @ th) / path.sigma
 
 
 def log_likelihood(path: FilteredPath, theta) -> float:
@@ -200,11 +188,9 @@ def accumulate(path: FilteredPath, theta) -> tuple[ScoreAccumulator, np.ndarray]
     The score is sum_i w_i eps_i(theta) / sigma_i, which equals
     moment - gram @ theta up to rounding.
     """
-    th = _check_theta(path, theta)
-    w = _path_weights(path)
-    gram, moment = _gram_moment(w, path.states[:, 0], path.sigma2, (path.n,))
-    eps = (path.states[:, 0] - w @ th) / path.sigma
-    score = w.T @ (eps / path.sigma)
+    eps = innovations(path, theta)
+    gram, moment = _gram_moment(path, (path.n,))
+    score = path.w.T @ (eps / path.sigma)
     return ScoreAccumulator(gram=gram[0], moment=moment[0], count=path.n), score
 
 

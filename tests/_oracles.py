@@ -3,9 +3,12 @@
 Everything here deliberately avoids the package's own recursions: whitening
 rows come from dense Toeplitz solves, variances from Cholesky, the Fisher
 matrix from a truncated series, likelihoods from the full multivariate
-normal density, AR recursions from plain Python loops, and the state
-transition matrix from its block layout.
+normal density, AR recursions from plain Python loops, the filtered state
+from dense whitening rows, and the state transition matrix from its block
+layout.
 """
+from typing import NamedTuple
+
 import numpy as np
 import scipy.linalg
 
@@ -33,6 +36,42 @@ def dense_whitening(kernel, n):
         rows[m - 1, :m] = y / y[-1]
         sigma2[m - 1] = 1.0 / y[-1]
     return rows, sigma2
+
+
+class DenseState(NamedTuple):
+    """Rows m = 1..n of the whitened lag vectors Z_m, the carries
+    sum_{k<m} beta_k Z_k and the score weights w_m, each (n, p); pacf[m] = beta_m
+    for 1 <= m <= n-1 with pacf[0] = 0; and the prediction variances (n,)."""
+
+    z: np.ndarray
+    carry: np.ndarray
+    w: np.ndarray
+    pacf: np.ndarray
+    sigma2: np.ndarray
+
+
+def dense_state(x, kernel, p):
+    """The filtered state of the series x from its definition, on dense whitening rows.
+
+    Z_m = sum_i k(m, i) Y_i with Y_i = (x_i, ..., x_{i-p+1}) zero padded,
+    beta_m = -k(m+1, 1), carry_m = sum_{k<m} beta_k Z_k and
+    w_m = Z_{m-1} + beta_{m-1} carry_{m-1}, with Z_0 = carry_0 = 0.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    rows, sigma2 = dense_whitening(kernel, n)
+    lagged = np.zeros((n, p))
+    for j in range(p):
+        lagged[j:, j] = x[: n - j]
+    z = rows @ lagged
+    pacf = np.zeros(n)
+    pacf[1:] = -rows[1:, 0]
+    carry = np.zeros((n, p))
+    w = np.zeros((n, p))
+    for m in range(1, n):
+        carry[m] = carry[m - 1] + pacf[m] * z[m - 1]
+        w[m] = z[m - 1] + pacf[m] * carry[m - 1]
+    return DenseState(z, carry, w, pacf, sigma2)
 
 
 def cholesky_sigmas(kernel, n):

@@ -509,6 +509,13 @@ def test_experiment_config_errors(tmp_path, capsys):
         == 4
     )
     capsys.readouterr()
+    # An unknown key or a non-integral count is refused, not dropped or truncated.
+    for bad, key in (({"alfa": 0.5}, "alfa"), ({"replicates": 2.9}, "replicates")):
+        cfg = _experiment_config(tmp_path, **bad)
+        out_dir = tmp_path / f"out_{key}"
+        assert main(["experiment", "--config", str(cfg), "--out-dir", str(out_dir)]) == 3
+        assert key in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 def _echo(capsys) -> dict:
@@ -628,8 +635,8 @@ _SCIPY_LOADED = (
 
 
 def test_lazy_scipy_imports(tmp_path):
-    """estimate and test leave scipy.signal and scipy.stats unloaded; the
-    functions that use them import them on first use."""
+    """estimate, test, lan, filter and validate-kernel leave scipy.signal and
+    scipy.stats unloaded; the functions that use them import them on first use."""
     fgn = '{"family": "fgn", "params": {"H": 0.7}}'
     series = _simulate_file(tmp_path, "fgn.csv", (0.4, -0.2), fgn, 300, 3)
     fit = _SCIPY_LOADED + (
@@ -639,9 +646,15 @@ def test_lazy_scipy_imports(tmp_path):
         "from armle.cli import main\n"
         "loaded['import armle.cli'] = slow_scipy()\n"
         f"args = ['--in', {str(series)!r}, '--kernel', {fgn!r}]\n"
-        "assert main(['estimate', '--p', '2'] + args) == 0\n"
-        "assert main(['test', '--theta0', '0.4,-0.2'] + args) == 0\n"
-        "loaded['estimate, test'] = slow_scipy()\n"
+        "for argv in (\n"
+        "    ['estimate', '--p', '2'] + args,\n"
+        "    ['test', '--theta0', '0.4,-0.2'] + args,\n"
+        "    ['lan', '--theta0', '0.4,-0.2', '--u', '1.0,0.5'] + args,\n"
+        f"    ['filter', '--kernel', {fgn!r}, '--n', '50'],\n"
+        f"    ['validate-kernel', '--kernel', {fgn!r}],\n"
+        "):\n"
+        "    assert main(argv) == 0, argv\n"
+        "    loaded[argv[0]] = slow_scipy()\n"
         "print(json.dumps(loaded))\n"
     )
     child = subprocess.run(
@@ -649,7 +662,8 @@ def test_lazy_scipy_imports(tmp_path):
     )
     assert child.returncode == 0, child.stderr
     loaded = json.loads(child.stdout.splitlines()[-1])
-    assert loaded == {"import armle": [], "import armle.cli": [], "estimate, test": []}
+    commands = ("estimate", "test", "lan", "filter", "validate-kernel")
+    assert loaded == dict.fromkeys(("import armle", "import armle.cli") + commands, [])
     # First use in a fresh interpreter imports what each function needs.
     first_use = _SCIPY_LOADED + (
         "import numpy as np\n"

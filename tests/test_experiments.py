@@ -22,7 +22,9 @@ from armle import experiments
 from armle.cli import main
 from armle.experiments import _block_size, _simulate_block
 from armle.inference import _solve_gram
-from armle.state import _gram_moment, _path_weights
+from armle.state import _gram_moment
+
+from _oracles import dense_state
 
 
 def _base_cfg(**kw):
@@ -51,15 +53,19 @@ def test_score_arrays_match_public_route(kernel, theta):
     p = len(theta)
     n = 120
     eps = np.stack([armle.standard_normals(armle.substream(42, r), n) for r in range(5)])
-    w, z1, sigma2 = _simulate_block(np.array(theta), kernel, eps)
-    cum_gram, cum_mom = _gram_moment(w, z1, sigma2, range(1, n + 1))
+    block = _simulate_block(np.array(theta), kernel, eps)
+    cum_gram, cum_mom = _gram_moment(block, range(1, n + 1))
     for r in range(5):
         xi = armle.noise_from_innovations(kernel, eps[r])
         x = armle.apply_ar(theta, xi)
         path = armle.filter_observations(x, kernel, p)
-        np.testing.assert_allclose(w[r], _path_weights(path), rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(z1[r], path.states[:, 0], rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(sigma2, path.sigma2, rtol=1e-12)
+        ref = dense_state(x, kernel, p)
+        tol = 1e-12 * np.max(np.abs(x))
+        for z, w in ((block.z[r], block.w[r]), (path.z, path.w)):
+            np.testing.assert_allclose(z, ref.z[:, 0], rtol=0, atol=tol)
+            np.testing.assert_allclose(w, ref.w, rtol=0, atol=tol)
+        np.testing.assert_allclose(block.sigma2, ref.sigma2, rtol=1e-12)
+        np.testing.assert_allclose(path.sigma2, ref.sigma2, rtol=1e-12)
         acc, _ = armle.accumulate(path, theta)
         np.testing.assert_allclose(cum_gram[r, -1], acc.gram, rtol=1e-11, atol=1e-12)
         np.testing.assert_allclose(cum_mom[r, -1], acc.moment, rtol=1e-11, atol=1e-12)
@@ -68,9 +74,9 @@ def test_score_arrays_match_public_route(kernel, theta):
         np.testing.assert_allclose(theta_hat[0], armle.mle(path).theta_hat, rtol=1e-9)
     # A replicate simulated alone agrees with the same replicate inside the
     # block to rounding (BLAS may sum a batch of one in another order).
-    w3, z3, _ = _simulate_block(np.array(theta), kernel, eps[3:4])
-    assert np.linalg.norm(w3[0] - w[3]) <= 1e-12 * np.linalg.norm(w[3])
-    assert np.linalg.norm(z3[0] - z1[3]) <= 1e-12 * np.linalg.norm(z1[3])
+    alone = _simulate_block(np.array(theta), kernel, eps[3:4])
+    assert np.linalg.norm(alone.w[0] - block.w[3]) <= 1e-12 * np.linalg.norm(block.w[3])
+    assert np.linalg.norm(alone.z[0] - block.z[3]) <= 1e-12 * np.linalg.norm(block.z[3])
 
 
 @pytest.mark.parametrize("kernel", [ar1(0.5), fgn(0.7)], ids=lambda k: k.label())
@@ -81,9 +87,9 @@ def test_gram_moment_at_sizes_matches_running_sums(kernel, p):
     n, sizes = 300, (7, 50, 51, 200, 300)
     eps = np.stack([armle.standard_normals(armle.substream(11, r), n) for r in range(3)])
     theta = np.resize([0.4, -0.2, 0.1], p)
-    w, z1, sigma2 = _simulate_block(theta, kernel, eps)
-    gram, moment = _gram_moment(w, z1, sigma2, sizes)
-    cum_gram, cum_mom = _gram_moment(w, z1, sigma2, range(1, n + 1))
+    path = _simulate_block(theta, kernel, eps)
+    gram, moment = _gram_moment(path, sizes)
+    cum_gram, cum_mom = _gram_moment(path, range(1, n + 1))
     assert gram.shape == (3, len(sizes), p, p) and moment.shape == (3, len(sizes), p)
     idx = np.array(sizes) - 1
     for ours, running in ((gram, cum_gram[:, idx]), (moment, cum_mom[:, idx])):
@@ -138,6 +144,29 @@ def test_config_from_json_rejects_missing_keys():
         ExperimentConfig.from_json_dict({"experiment": "clt"})
     with pytest.raises(ValueError):
         ExperimentConfig.from_json_dict([1, 2])
+
+
+def test_config_rejects_other_than_the_config_given():
+    # A truncated integer, a bool or a dropped key would run another config.
+    base = _base_cfg().to_json_dict()
+    for bad, key in (
+        ({"sample_sizes": [100.9, 200]}, "sample_sizes"),
+        ({"replicates": 2.9}, "replicates"),
+        ({"seed": True}, "seed"),
+        ({"seed": np.bool_(True)}, "seed"),
+        ({"replicates": "5"}, "replicates"),
+        ({"alfa": 0.5}, "alfa"),
+    ):
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig.from_json_dict(base | bad)
+    with pytest.raises(ValueError, match="replicates"):
+        _base_cfg(replicates=5.5)
+    # Integers of numpy type and integral floats are the same config.
+    same = ExperimentConfig.from_json_dict(
+        base | {"sample_sizes": [np.int64(100), 200.0], "replicates": np.int32(5)}
+    )
+    assert same == _base_cfg()
+    assert type(same.replicates) is int and type(same.sample_sizes[0]) is int
 
 
 # ---------------------------------------------------------------------------

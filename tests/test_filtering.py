@@ -21,7 +21,7 @@ FAMILIES = [white(), ar1(0.5), ar1(-0.8), fgn(0.7), fgn(0.3)]
 def _whiten(xi, kernel):
     """Innovations eps_m = sum_i k(m, i) xi_i / sigma_m and the sigmas."""
     path = filter_observations(xi, kernel, 1)
-    return path.whitened[:, 0] / path.sigma, path.sigma
+    return path.z / path.sigma, path.sigma
 
 
 def test_white_filter_is_identity():
@@ -137,11 +137,13 @@ def test_whitening_matches_dense_cholesky_at_large_n(kernel):
     x = chol @ innov
     evals = np.linalg.eigvalsh(cov)
     bound = 16.0 * evals[-1] / evals[0] * 2.0**-52
-    # Every lag j < 5 of the state, lag j of Z_m being sum_i k(m, i) x_{i-j}.
+    # Every lag j <= 5 of the whitened series, lag j of Z_m being
+    # sum_i k(m, i) x_{i-j}: lag 0 is z, lags 1..5 are the score weights w.
     path = filter_observations(x, kernel, 5)
-    for j in range(5):
+    lags = np.column_stack([path.z, path.w])
+    for j in range(6):
         shifted = np.concatenate([np.zeros(j), x[: n - j]])
         expected = scipy.linalg.solve_triangular(chol, shifted, lower=True)
-        assert np.max(np.abs(path.whitened[:, j] / path.sigma - expected)) <= bound
+        assert np.max(np.abs(lags[:, j] / path.sigma - expected)) <= bound
     # Generating direction: the sampled path is L eps.
     assert np.max(np.abs(armle.noise_from_innovations(kernel, innov) - x)) <= bound

@@ -165,7 +165,7 @@ def test_noise_covariance_matches_kernel():
 
 def _whiten(xi, kernel):
     path = filter_observations(xi, kernel, 1)
-    return path.whitened[:, 0] / path.sigma, path.sigma
+    return path.z / path.sigma, path.sigma
 
 
 def test_whiten_inverts_sampling():

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,14 @@ from armle import (
     filter_observations,
     innovations,
     log_likelihood,
+    pacf_and_variances,
     white,
 )
-from armle.state import _gram_moment, _path_weights
+from armle.state import _filtered_path, _gram_moment
 
-from _oracles import dense_log_likelihood, random_stable_theta, transition
+from _oracles import dense_log_likelihood, dense_state, random_stable_theta, transition
+
+ORACLE_KERNELS = [white(), ar1(0.6), fgn(0.3), fgn(0.7)]
 
 
 def _random_path(kernel, p, n, seed, theta=(0.3,)):
@@ -25,40 +30,66 @@ def _random_path(kernel, p, n, seed, theta=(0.3,)):
 
 
 def test_first_state_is_lag_vector():
+    # zeta_1 = (Y_1, 0) and zeta_0 = 0: Z_1[0] = x_1 and w_1 = 0.
     x = np.array([1.7, -0.2, 0.4])
     for kernel in (white(), ar1(0.5), fgn(0.7)):
         path = filter_observations(x, kernel, 2)
-        np.testing.assert_allclose(path.states[0], [1.7, 0.0, 0.0, 0.0], atol=1e-15)
+        assert path.z[0] == pytest.approx(1.7, rel=1e-15)
+        np.testing.assert_array_equal(path.w[0], [0.0, 0.0])
 
 
 def test_white_states_are_lag_vectors():
     x = np.array([1.0, 2.0, 3.0, 4.0])
     path = filter_observations(x, white(), 2)
-    # Z_m = Y_m = (x_m, x_{m-1}) and the carry block stays zero.
-    np.testing.assert_array_equal(
-        path.states[:, :2], [[1.0, 0.0], [2.0, 1.0], [3.0, 2.0], [4.0, 3.0]]
-    )
-    np.testing.assert_array_equal(path.states[:, 2:], np.zeros((4, 2)))
+    # Z_m = Y_m = (x_m, x_{m-1}) and the carry stays zero, so w_m = Y_{m-1}.
+    np.testing.assert_array_equal(path.z, x)
+    np.testing.assert_array_equal(path.w, [[0.0, 0.0], [1.0, 0.0], [2.0, 1.0], [3.0, 2.0]])
 
 
 def test_ar1_two_point_state_by_hand():
     a = 0.5
     x = np.array([1.3, -0.2])
     path = filter_observations(x, ar1(a), 1)
-    # Row k(2,.) = (-a, 1): Z_2 = x_2 - a x_1; carry picks up beta_1 Z_1 = a x_1.
-    assert path.states[1, 0] == pytest.approx(x[1] - a * x[0], rel=1e-14)
-    assert path.states[1, 1] == pytest.approx(a * x[0], rel=1e-14)
+    ref = dense_state(x, ar1(a), 1)
+    # Row k(2,.) = (-a, 1): Z_2 = x_2 - a x_1; carry picks up beta_1 Z_1 = a x_1;
+    # w_2 = Z_1 + beta_1 carry_1 = x_1.
+    assert path.z[1] == pytest.approx(x[1] - a * x[0], rel=1e-14)
+    assert ref.carry[1, 0] == pytest.approx(a * x[0], rel=1e-14)
+    assert path.w[1, 0] == pytest.approx(x[0], rel=1e-14)
 
 
 def test_carry_telescopes():
-    path, _ = _random_path(fgn(0.7), 2, 40, seed=9)
-    z = path.states[:, :2]
-    carry = path.states[:, 2:]
-    np.testing.assert_allclose(carry[0], 0.0, atol=1e-15)
-    for m in range(1, 40):
+    # The oracle's beta_m = -k(m+1, 1) from dense rows is the filter's PACF,
+    # and the score weights are Z_{m-1} plus beta_{m-1} times the carry.
+    n = 40
+    path, x = _random_path(fgn(0.7), 2, n, seed=9)
+    ref = dense_state(x, fgn(0.7), 2)
+    beta, _ = pacf_and_variances(fgn(0.7), n)
+    np.testing.assert_allclose(ref.pacf[1:], beta[:-1], rtol=1e-12, atol=1e-14)
+    np.testing.assert_array_equal(ref.carry[0], 0.0)
+    for m in range(1, n):
         np.testing.assert_allclose(
-            carry[m], carry[m - 1] + path.pacf[m] * z[m - 1], rtol=1e-12, atol=1e-14
+            path.w[m], ref.z[m - 1] + ref.pacf[m] * ref.carry[m - 1], rtol=1e-12, atol=1e-14
         )
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=lambda k: k.label())
+def test_path_matches_dense_state(kernel, p):
+    # One series and a block of replicates both agree with the dense oracle.
+    n = 60
+    xs = np.stack([_random_path(kernel, p, n, seed=s, theta=(0.4, -0.2, 0.1))[1] for s in (1, 2)])
+    block = _filtered_path(kernel, xs, p)
+    assert block.z.shape == (2, n) and block.w.shape == (2, n, p) and block.n == n
+    for r, x in enumerate(xs):
+        ref = dense_state(x, kernel, p)
+        tol = 1e-12 * np.max(np.abs(x))
+        path = filter_observations(x, kernel, p)
+        for z, w in ((path.z, path.w), (block.z[r], block.w[r])):
+            np.testing.assert_allclose(z, ref.z[:, 0], rtol=0, atol=tol)
+            np.testing.assert_allclose(w, ref.w, rtol=0, atol=tol)
+        np.testing.assert_allclose(path.sigma2, ref.sigma2, rtol=1e-12)
+        np.testing.assert_array_equal(block.sigma2, path.sigma2)
 
 
 def test_too_short_and_bad_input():
@@ -83,17 +114,22 @@ def test_transition_blocks():
 
 
 def test_state_recursion_via_transition():
-    # zeta_m = A~_{m-1} zeta_{m-1} + l * eps-part; verify the deterministic
-    # block: the second component of the transition applied to zeta_{m-1}
-    # reproduces the carry exactly.
+    # zeta_m = T(theta, beta_{m-1}) zeta_{m-1} + e_1 sigma_m eps_m. On the oracle
+    # state the deterministic rows hold exactly: the lower block of T gives the
+    # carry, the shift rows of A give lag 1 of Z_m, and the first block of
+    # T zeta_{m-1} is A w_m with the package's score weight w_m.
     theta = (0.4, 0.1)
-    path, _ = _random_path(ar1(0.6), 2, 30, seed=4, theta=theta)
-    for m in range(1, 30):
-        t = transition(theta, path.pacf[m])
-        pred = t @ path.states[m - 1]
-        np.testing.assert_allclose(
-            path.states[m, 2:], pred[2:], rtol=1e-11, atol=1e-13
-        )
+    for kernel in (ar1(0.6), fgn(0.7)):
+        path, x = _random_path(kernel, 2, 30, seed=4, theta=theta)
+        ref = dense_state(x, kernel, 2)
+        zeta = np.hstack([ref.z, ref.carry])
+        for m in range(1, 30):
+            pred = transition(theta, ref.pacf[m]) @ zeta[m - 1]
+            np.testing.assert_allclose(zeta[m, 2:], pred[2:], rtol=1e-11, atol=1e-13)
+            assert zeta[m, 1] == pytest.approx(pred[1], rel=1e-11, abs=1e-13)
+            np.testing.assert_allclose(
+                armle.companion(theta) @ path.w[m], pred[:2], rtol=1e-11, atol=1e-13
+            )
 
 
 def test_innovations_white():
@@ -134,26 +170,22 @@ def test_log_likelihood_matches_dense_gaussian_density():
 
 
 def test_score_weights_shift():
-    path, _ = _random_path(ar1(0.5), 2, 20, seed=6)
-    w = _path_weights(path)
-    np.testing.assert_array_equal(w[0], 0.0)
-    z = path.states[:, :2]
-    carry = path.states[:, 2:]
-    for m in range(1, 20):
-        np.testing.assert_allclose(
-            w[m], z[m - 1] + path.pacf[m] * carry[m - 1], rtol=1e-13, atol=1e-15
-        )
+    # w_1 = 0, and w_m holds lags 1..p of Z_m: lag j + 1 of Z_m is lag j of w_m.
+    path, x = _random_path(fgn(0.3), 3, 20, seed=6)
+    ref = dense_state(x, fgn(0.3), 3)
+    np.testing.assert_array_equal(path.w[0], 0.0)
+    np.testing.assert_allclose(ref.w[:, :-1], ref.z[:, 1:], rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(path.w[:, :-1], ref.z[:, 1:], rtol=1e-12, atol=1e-14)
 
 
 def test_gram_moment_matches_explicit_sums():
     theta = (0.3, 0.2)
     path, _ = _random_path(fgn(0.6), 2, 35, seed=8, theta=theta)
-    w = _path_weights(path)
-    sigma2 = path.sigma2
-    ours_gram, ours_moment = _gram_moment(w, path.states[:, 0], sigma2, (35,))
+    w, z, sigma2 = path.w, path.z, path.sigma2
+    ours_gram, ours_moment = _gram_moment(path, (35,))
     assert ours_gram.shape == (1, 2, 2) and ours_moment.shape == (1, 2)
     gram = sum(np.outer(w[i], w[i]) / sigma2[i] for i in range(35))
-    moment = sum(w[i] * path.states[i, 0] / sigma2[i] for i in range(35))
+    moment = sum(w[i] * z[i] / sigma2[i] for i in range(35))
     np.testing.assert_allclose(ours_gram[0], gram, rtol=1e-12)
     np.testing.assert_allclose(ours_moment[0], moment, rtol=1e-12)
     assert accumulate(path, theta)[0].count == 35
@@ -185,8 +217,8 @@ def test_dimension_mismatch():
 
 def test_filtered_path_properties():
     path, _ = _random_path(ar1(0.4), 2, 15, seed=5)
+    assert [f.name for f in fields(path)] == ["z", "w", "sigma2"]
+    assert path.z.shape == (15,) and path.w.shape == (15, 2) and path.sigma2.shape == (15,)
     assert path.n == 15
     assert path.p == 2
-    np.testing.assert_array_equal(path.whitened, path.states[:, :2])
     np.testing.assert_allclose(path.sigma, np.sqrt(path.sigma2), rtol=1e-15)
-    assert path.pacf[0] == 0.0
