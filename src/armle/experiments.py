@@ -32,8 +32,12 @@ into raw rows, a missing value becoming None. ``_draws`` lists the
 simulations of a block: one trajectory per replicate from substream
 (seed, r), evaluated at every sample size, or, for ``test_power`` whose
 simulated parameter depends on n, one per size index c from (seed, c, r).
-Replicates are simulated in blocks that share one pass of the innovations
-filter. The raw.csv header is the keys of the first row.
+A simulation never forms the series: ``state._simulated_path`` steps the
+paper's state recursion from the innovations, over all replicates of a block
+at once. Under fgn noise it reads the filter's beta and sigma from one
+Durbin-Levinson walk per run, to the largest sample size, whose prefixes
+serve every block and every size; white and ar1 noise need no walk. The
+raw.csv header is the keys of the first row.
 Failed replicates (singular Gram) are recorded, excluded from aggregates and
 counted; a report passes only when the failure rate stays within 1 percent.
 Aggregates are recomputable from the raw rows and are bit-identical under any
@@ -55,12 +59,12 @@ import numpy as np
 from scipy.special import chdtri
 
 from . import rng
-from .ar import apply_ar, fisher_info, fisher_info_inverse, require_stable
+from .ar import fisher_info, fisher_info_inverse, require_stable
 from .exceptions import Unstable
-from .filtering import MARKOV_FAMILIES, _generate
+from .filtering import MARKOV_FAMILIES, pacf_and_variances
 from .inference import _solve_gram
 from .noise import CovarianceKernel, kernel_from_json, validate_kernel
-from .state import FilteredPath, _filtered_path, _gram_moment
+from .state import _gram_moment, _simulated_path
 
 #: A report passes when at most this fraction of raw rows failed.
 FAILURE_BUDGET = 0.01
@@ -86,18 +90,17 @@ class ExperimentConfig:
     direction: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        def floats(v):
-            return None if v is None else tuple(float(x) for x in v)
+        def reals(name, v):
+            return None if v is None else tuple(_real(name, x) for x in v)
 
-        def sizes(v):
-            return tuple(sorted({_integer("sample_sizes", n) for n in v}))
+        def sizes(name, v):
+            return tuple(sorted({_integer(name, n) for n in v}))
 
-        coerce = {"experiment": str, "theta": floats, "sample_sizes": sizes,
-                  "replicates": partial(_integer, "replicates"),
-                  "seed": partial(_integer, "seed"),
-                  "alpha": float, "shift": floats, "direction": floats}
+        coerce = {"experiment": lambda name, v: str(v), "theta": reals,
+                  "sample_sizes": sizes, "replicates": _integer, "seed": _integer,
+                  "alpha": _real, "shift": reals, "direction": reals}
         for name, to in coerce.items():
-            object.__setattr__(self, name, to(getattr(self, name)))
+            object.__setattr__(self, name, to(name, getattr(self, name)))
 
     @property
     def p(self) -> int:
@@ -173,6 +176,14 @@ def _integer(name: str, v) -> int:
     return int(v)
 
 
+def _real(name: str, v) -> float:
+    """``v`` as a float: an integer or a real number. Anything else, a bool or a
+    string included, raises ValueError naming the field."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be real, got {v!r}")
+    return float(v)
+
+
 @dataclass(eq=False)
 class ExperimentReport:
     """Outcome of one experiment run.
@@ -240,11 +251,13 @@ def _fmt_cell(v) -> str:
 def _block_size(cfg: ExperimentConfig) -> int:
     """Replicates per block: up to 64, within a budget of time steps.
 
-    A block shares one filter walk, O(n) Python steps for an fgn kernel, so
-    its budget is 2**17 steps. White and ar1 kernels have no walk to share;
-    their budget of 2**14 steps keeps each (R, n) array of a block within
-    128 KiB, in cache and on the heap rather than in freshly mapped pages, and
-    the (R, n, p) score weights within 128 p KiB. The Gram at the sample sizes is
+    Under an fgn kernel a block steps the state recursion, one Python loop of
+    n steps whatever the number of replicates, so a budget of 2**17 steps
+    spreads that per-step cost over the block while bounding its memory: the
+    time-major buffer of z and w is at most (p + 1) MiB. White and ar1 kernels
+    have no loop to share; their budget of 2**14 steps keeps each (R, n) array
+    of a block within 128 KiB, in cache and on the heap rather than in freshly
+    mapped pages, and the (R, n, p) score weights within 128 p KiB. The Gram at the sample sizes is
     (R, len(sizes), p, p); only qsl and lil, which read it at every k, hold an
     (R, n, p, p) Gram of up to 128 p**2 KiB. The size depends on the config
     alone, so the partition into blocks, and with it every report, is the
@@ -252,12 +265,6 @@ def _block_size(cfg: ExperimentConfig) -> int:
     """
     steps = 2**14 if cfg.kernel.family in MARKOV_FAMILIES else 2**17
     return min(64, max(1, steps // max(cfg.sample_sizes)))
-
-
-def _simulate_block(theta, kernel: CovarianceKernel, eps: np.ndarray) -> FilteredPath:
-    """Filtered path of a block of replicates simulated from innovations eps, shape
-    (R, n), with one filter walk per block (none for white and ar1 kernels)."""
-    return _filtered_path(kernel, apply_ar(theta, _generate(kernel, eps)), len(theta))
 
 
 def _draws(cfg: ExperimentConfig) -> list[tuple]:
@@ -276,15 +283,16 @@ def _draws(cfg: ExperimentConfig) -> list[tuple]:
     ]
 
 
-def _rows_block(cfg: ExperimentConfig, reps: range) -> list[dict]:
-    """Raw rows of a block of replicates (a pure function of (cfg, reps))."""
+def _rows_block(cfg: ExperimentConfig, walk, reps: range) -> list[dict]:
+    """Raw rows of a block of replicates, a pure function of (cfg, reps): ``walk``
+    is the run's one filter walk, a function of cfg (see ``run_experiment``)."""
     columns_of, _, every_k = _TABLE[cfg.experiment]
     rows = []
     for theta, n, prefix, sizes in _draws(cfg):
         eps = np.empty((len(reps), n))
         for k, rep in enumerate(reps):
             eps[k] = rng.standard_normals(rng.substream(*prefix, rep), n)
-        path = _simulate_block(theta, cfg.kernel, eps)
+        path = _simulated_path(theta, cfg.kernel, eps, walk)
         del eps  # block-sized arrays are dropped once used, to bound peak memory
         gram, moment = _gram_moment(path, range(1, n + 1) if every_k else sizes)
         theta_hat, _, solved = _solve_gram(gram, moment)
@@ -548,10 +556,10 @@ def run_experiment(
 ) -> ExperimentReport:
     """Run the configured experiment and return its report.
 
-    Replicates run in blocks, each simulated in one pass; ``jobs > 1``
-    distributes the blocks over a process pool. The partition into blocks
-    depends on the config alone and rows are merged in replicate order, so
-    reports are identical for any job count.
+    Replicates run in blocks, each simulated at once from the run's one
+    filter walk; ``jobs > 1`` distributes the blocks over a process pool. The
+    partition into blocks depends on the config alone and rows are merged in
+    replicate order, so reports are identical for any job count.
     """
     cfg.validate()
     t0 = time.perf_counter()
@@ -560,7 +568,12 @@ def run_experiment(
     blocks = [range(start, min(start + size, reps)) for start in range(0, reps, size)]
     tick = max(1, reps // 10)
     chunks: list[list[dict]] = []
-    for block, result in zip(blocks, _map_blocks(partial(_rows_block, cfg), blocks, jobs)):
+    # One walk to the largest size: every block and every size reads a prefix.
+    walk = None if cfg.kernel.family in MARKOV_FAMILIES else pacf_and_variances(
+        cfg.kernel, max(cfg.sample_sizes)
+    )
+    rows_of = partial(_rows_block, cfg, walk)
+    for block, result in zip(blocks, _map_blocks(rows_of, blocks, jobs)):
         chunks.append(result)
         for r in block:
             if progress is not None and (r + 1) % tick == 0:

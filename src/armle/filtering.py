@@ -16,12 +16,17 @@ The whitened innovations of a path xi are
 Everything is O(n) memory in streaming form; materializing all rows
 (`kernel_rows`) costs O(n^2).
 
-The stream depends on the kernel and n only, never on data. `_generate` and
-`_whiten` therefore apply one walk to every series of a batch at once (time
-along the last axis). The Markov kernels (white, ar1) skip the walk for
-their O(n) closed form there and in `pacf_and_variances`. `_whiten` whitens
-the series alone, one dot product per step: lag j + 1 of the whitened state
-Z_m is lag j of the score weight w_m, so `state._filtered_path` derives the lags.
+The stream depends on the kernel and n only, never on data, and its first m
+steps do not depend on n either. `_generate` (for `noise_from_innovations`)
+and `_whiten` (for `filter_observations`) therefore apply one walk to every
+series of a batch at once (time along the last axis). The Markov kernels
+(white, ar1) skip the walk for their O(n) closed form there and in
+`pacf_and_variances`. `_whiten` whitens the series alone, one dot product per
+step: lag j + 1 of the whitened state Z_m is lag j of the score weight w_m, so
+`state._filtered_path` derives the lags. The Monte Carlo harness applies no
+row at all: it reads beta and sigma**2 of one `pacf_and_variances` walk per
+run and steps the state recursion from the innovations
+(`state._simulated_path`).
 """
 from __future__ import annotations
 

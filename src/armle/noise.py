@@ -98,26 +98,40 @@ def covariance(kernel: CovarianceKernel, lag: int) -> float:
     return 0.5 * ((k + 1.0) ** h2 - 2.0 * k**h2 + (k - 1.0) ** h2)
 
 
+#: The parameters of each family, by their JSON names.
+_PARAMS = {"white": (), "ar1": ("a",), "fgn": ("H",)}
+
+
 def kernel_from_json(text: str | dict) -> CovarianceKernel:
-    """Parse a kernel from its JSON object form ``{"family": ..., "params": {...}}``."""
+    """Parse a kernel from its JSON object form ``{"family": ..., "params": {...}}``.
+
+    An unknown key, at the top or in ``params``, and a parameter that is not a
+    real number (a bool or a string included) raise ValueError naming it.
+    """
     obj = json.loads(text) if isinstance(text, str) else text
     if not isinstance(obj, dict) or "family" not in obj:
         raise ValueError("kernel JSON must be an object with a 'family' key")
+    unknown = set(obj) - {"family", "params"}
+    if unknown:
+        raise ValueError(f"kernel JSON has unknown keys: {sorted(unknown)}")
     family = str(obj["family"]).lower()
     params = obj.get("params", {}) or {}
     if not isinstance(params, dict):
         raise ValueError("kernel 'params' must be an object")
+    if family not in _PARAMS:
+        raise ValueError(f"unknown kernel family {family!r}")
+    unknown = set(params) - set(_PARAMS[family])
+    if unknown:
+        raise ValueError(f"{family} kernel has unknown params: {sorted(unknown)}")
     if family == "white":
         return white()
-    if family == "ar1":
-        if "a" not in params:
-            raise ValueError("ar1 kernel needs params.a")
-        return ar1(float(params["a"]))
-    if family == "fgn":
-        if "H" not in params:
-            raise ValueError("fgn kernel needs params.H")
-        return fgn(float(params["H"]))
-    raise ValueError(f"unknown kernel family {family!r}")
+    (name,) = _PARAMS[family]
+    if name not in params:
+        raise ValueError(f"{family} kernel needs params.{name}")
+    value = params[name]
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{family} kernel params.{name} must be a real number, got {value!r}")
+    return ar1(value) if family == "ar1" else fgn(value)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,12 @@ The state zeta_m is the derivation: the likelihood, score and Gram read only
 Z_m[0], w_m and sigma_m**2, which is all `FilteredPath` keeps. It depends only
 on the data and the kernel, never on theta; all theta-dependence enters
 through the quadratic form in (gram, moment).
+
+`filter_observations` builds the path from data (`_filtered_path`). A
+simulation needs no data: along the true model Z_m[0] = theta . w_m +
+sigma_m eps_m, so `_simulated_path` steps the transition from the innovations
+eps_m, reading beta and sigma from the filter walk and never forming the
+series.
 """
 from __future__ import annotations
 
@@ -30,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ar import as_theta
+from .ar import apply_ar, as_theta
 from .exceptions import DimensionMismatch, TooShort
-from .filtering import _whiten
+from .filtering import _markov, _whiten
 from .noise import CovarianceKernel
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -119,6 +125,54 @@ def _filtered_path(kernel: CovarianceKernel, x: np.ndarray, p: int) -> FilteredP
         lag[..., 1:] += u[..., :-1]
         u = lag
     return FilteredPath(z=z, w=w, sigma2=sigma2)
+
+
+def _simulated_path(theta, kernel: CovarianceKernel, eps: np.ndarray, walk) -> FilteredPath:
+    """Filtered path of AR(theta) series driven by the kernel's noise with
+    innovations eps, shape (R, n), by the state recursion along the true model;
+    the series itself is never formed.
+
+    With Z_m = (z_m, w_m[0..p-2]), the carry C_1 = 0 and w_1 = 0, each step is
+
+        z_m = theta . w_m + sigma_m eps_m,
+        w_{m+1} = Z_m + beta_m C_m,      C_{m+1} = C_m + beta_m Z_m,
+
+    one loop over m, each operation over the R replicates and theta . w_m a
+    fixed-order sum over the lags, so that a replicate's path does not depend
+    on R. ``walk`` is (beta, sigma2) of ``pacf_and_variances(kernel, N)`` for
+    any N >= n, of which the recursion reads a prefix. White and ar1 kernels
+    take ``walk = None``: beta_m = 0 from m = 2 on, so w holds the lags of z
+    and z = apply_ar(theta, sigma * eps).
+    """
+    th = as_theta(theta)
+    p = th.size
+    reps, n = eps.shape
+    markov = _markov(kernel, n)
+    if markov is not None:
+        _, sigma = markov
+        z = apply_ar(th, sigma * eps)
+        w = np.zeros((reps, n, p))
+        for j in range(p):
+            w[:, j + 1 :, j] = z[:, : n - j - 1]
+        return FilteredPath(z=z, w=w, sigma2=sigma**2)
+    beta, sigma2 = walk[0][:n], walk[1][:n]
+    # Time-major: g[m] = (z_m, w_m) over the replicates. Row n holds the unused
+    # w_{n+1}; z and w of the path are views of the first n rows.
+    g = np.empty((n + 1, p + 1, reps))
+    np.multiply(eps.T, np.sqrt(sigma2)[:, None], out=g[:n, 0])
+    g[0, 1:] = 0.0
+    carry = np.zeros((p, reps))
+    lag_term, carry_term = np.empty(reps), np.empty((p, reps))
+    mul, add, coefs = np.multiply, np.add, th.tolist()
+    for z, w, state, after, b in zip(g[:, 0], g[:, 1:], g[:, :p], g[1:, 1:], beta.tolist()):
+        for c, lag in zip(coefs, w):
+            mul(lag, c, out=lag_term)
+            add(z, lag_term, out=z)
+        mul(carry, b, out=carry_term)
+        add(state, carry_term, out=after)
+        mul(state, b, out=carry_term)
+        add(carry, carry_term, out=carry)
+    return FilteredPath(z=g[:n, 0].T, w=g[:n, 1:].transpose(2, 0, 1), sigma2=sigma2)
 
 
 # Sums that overflow give a non-finite Gram, which _solve_gram reads as singular

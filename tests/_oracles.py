@@ -12,7 +12,9 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from armle import companion, covariance
+from armle import apply_ar, companion, covariance
+from armle.filtering import _generate
+from armle.state import _filtered_path
 
 
 def dense_covariance(kernel, n):
@@ -72,6 +74,13 @@ def dense_state(x, kernel, p):
         carry[m] = carry[m - 1] + pacf[m] * z[m - 1]
         w[m] = z[m - 1] + pacf[m] * carry[m - 1]
     return DenseState(z, carry, w, pacf, sigma2)
+
+
+def two_walk_path(theta, kernel, eps):
+    """Filtered path of AR(theta) series simulated from innovations eps, shape
+    (R, n): the noise from one walk, the series by the AR recursion and its
+    filtered path from a second walk."""
+    return _filtered_path(kernel, apply_ar(theta, _generate(kernel, eps)), len(theta))
 
 
 def cholesky_sigmas(kernel, n):

@@ -369,6 +369,8 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert (
         main(["simulate", "--theta", "0.5", "--kernel", "{bad json", "--n", "5"]) == 2
     )
+    extra_key = '{"family": "ar1", "params": {"a": 0.5, "b": 1}}'
+    assert main(["simulate", "--theta", "0.5", "--kernel", extra_key, "--n", "5"]) == 2
     assert (
         main(["simulate", "--theta", "abc", "--kernel", WHITE_KERNEL, "--n", "5"]) == 2
     )
@@ -509,10 +511,17 @@ def test_experiment_config_errors(tmp_path, capsys):
         == 4
     )
     capsys.readouterr()
-    # An unknown key or a non-integral count is refused, not dropped or truncated.
-    for bad, key in (({"alfa": 0.5}, "alfa"), ({"replicates": 2.9}, "replicates")):
+    # An unknown key, a non-integral count or a bool as a real is refused, not
+    # dropped or coerced; so is an unknown kernel param.
+    extra_param = {"family": "ar1", "params": {"a": 0.5, "b": 1}}
+    for bad, key in (
+        ({"alfa": 0.5}, "alfa"),
+        ({"replicates": 2.9}, "replicates"),
+        ({"theta": [True]}, "theta"),
+        ({"kernel": extra_param}, "unknown params"),
+    ):
         cfg = _experiment_config(tmp_path, **bad)
-        out_dir = tmp_path / f"out_{key}"
+        out_dir = tmp_path / f"out_{next(iter(bad))}"
         assert main(["experiment", "--config", str(cfg), "--out-dir", str(out_dir)]) == 3
         assert key in capsys.readouterr().err
         assert not out_dir.exists()

@@ -20,9 +20,10 @@ from armle import (
 )
 from armle import experiments
 from armle.cli import main
-from armle.experiments import _block_size, _simulate_block
+from armle.experiments import _block_size
+from armle.filtering import MARKOV_FAMILIES
 from armle.inference import _solve_gram
-from armle.state import _gram_moment
+from armle.state import _gram_moment, _simulated_path
 
 from _oracles import dense_state
 
@@ -40,6 +41,11 @@ def _base_cfg(**kw):
     return ExperimentConfig(**args)
 
 
+def _walk(kernel, n):
+    """The walk a run to largest size n hands to its blocks."""
+    return None if kernel.family in MARKOV_FAMILIES else armle.pacf_and_variances(kernel, n)
+
+
 # ---------------------------------------------------------------------------
 # Engine
 # ---------------------------------------------------------------------------
@@ -53,7 +59,7 @@ def test_score_arrays_match_public_route(kernel, theta):
     p = len(theta)
     n = 120
     eps = np.stack([armle.standard_normals(armle.substream(42, r), n) for r in range(5)])
-    block = _simulate_block(np.array(theta), kernel, eps)
+    block = _simulated_path(theta, kernel, eps, _walk(kernel, n))
     cum_gram, cum_mom = _gram_moment(block, range(1, n + 1))
     for r in range(5):
         xi = armle.noise_from_innovations(kernel, eps[r])
@@ -72,11 +78,11 @@ def test_score_arrays_match_public_route(kernel, theta):
         theta_hat, _, ok = _solve_gram(cum_gram[r, -1:], cum_mom[r, -1:])
         assert ok[0]
         np.testing.assert_allclose(theta_hat[0], armle.mle(path).theta_hat, rtol=1e-9)
-    # A replicate simulated alone agrees with the same replicate inside the
-    # block to rounding (BLAS may sum a batch of one in another order).
-    alone = _simulate_block(np.array(theta), kernel, eps[3:4])
-    assert np.linalg.norm(alone.w[0] - block.w[3]) <= 1e-12 * np.linalg.norm(block.w[3])
-    assert np.linalg.norm(alone.z[0] - block.z[3]) <= 1e-12 * np.linalg.norm(block.z[3])
+    # A replicate simulated alone is the same replicate inside the block, bit
+    # for bit: every step of the recursion is elementwise over the replicates.
+    alone = _simulated_path(theta, kernel, eps[3:4], _walk(kernel, n))
+    np.testing.assert_array_equal(alone.w[0], block.w[3])
+    np.testing.assert_array_equal(alone.z[0], block.z[3])
 
 
 @pytest.mark.parametrize("kernel", [ar1(0.5), fgn(0.7)], ids=lambda k: k.label())
@@ -87,7 +93,7 @@ def test_gram_moment_at_sizes_matches_running_sums(kernel, p):
     n, sizes = 300, (7, 50, 51, 200, 300)
     eps = np.stack([armle.standard_normals(armle.substream(11, r), n) for r in range(3)])
     theta = np.resize([0.4, -0.2, 0.1], p)
-    path = _simulate_block(theta, kernel, eps)
+    path = _simulated_path(theta, kernel, eps, _walk(kernel, n))
     gram, moment = _gram_moment(path, sizes)
     cum_gram, cum_mom = _gram_moment(path, range(1, n + 1))
     assert gram.shape == (3, len(sizes), p, p) and moment.shape == (3, len(sizes), p)
@@ -167,6 +173,28 @@ def test_config_rejects_other_than_the_config_given():
     )
     assert same == _base_cfg()
     assert type(same.replicates) is int and type(same.sample_sizes[0]) is int
+
+
+def test_config_rejects_bools_and_strings_as_reals():
+    # float() would read True as 1.0 and "0.1" as 0.1 and run another config.
+    base = _base_cfg(experiment="lil").to_json_dict()
+    for bad, key in (
+        ({"theta": [True]}, "theta"),
+        ({"theta": "0.3"}, "theta"),
+        ({"alpha": "0.1"}, "alpha"),
+        ({"alpha": np.bool_(False)}, "alpha"),
+        ({"shift": ["1"]}, "shift"),
+        ({"direction": [None]}, "direction"),
+    ):
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig.from_json_dict(base | bad)
+    # Integers, floats and numpy numbers are the same config.
+    same = ExperimentConfig.from_json_dict(
+        base | {"theta": [np.float32(0.25)], "alpha": 0.05, "direction": [np.int64(1)]}
+    )
+    assert same.theta == (0.25,) and same.direction == (1.0,)
+    assert type(same.theta[0]) is float and type(same.direction[0]) is float
+    assert ExperimentConfig.from_json_dict(base | {"theta": [0], "alpha": 0.05}).theta == (0.0,)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +315,30 @@ def test_power_exceeds_size_under_shift():
     report = run_experiment(cfg)
     assert report.per_n[600]["rejection_rate"] > 0.3
     assert 0.0 <= report.summary["predicted_power"] <= 1.0
+
+
+def test_power_sizes_read_a_prefix_of_one_walk(monkeypatch):
+    # A run walks the filter once, to its largest size. Giving each test_power
+    # size a walk of its own length instead leaves the report unchanged.
+    cfg = _base_cfg(
+        experiment="test_power", kernel=fgn(0.7), shift=(1.0,),
+        sample_sizes=(60, 151, 400), replicates=5,
+    )
+    walks = []
+
+    def own_walk(theta, kernel, eps, walk):
+        walks.append(len(walk[0]))
+        n = eps.shape[-1]
+        return _simulated_path(theta, kernel, eps, armle.pacf_and_variances(kernel, n))
+
+    shared = run_experiment(cfg)
+    monkeypatch.setattr(experiments, "_simulated_path", own_walk)
+    separate = run_experiment(cfg)
+    assert walks == [400, 400, 400]
+    assert separate.rows == shared.rows
+    for report in (shared, separate):
+        report.runtime_seconds = 0.0
+    assert separate.to_json_dict() == shared.to_json_dict()
 
 
 def test_power_checks_stability_at_every_sample_size(tmp_path):

@@ -46,6 +46,17 @@ def test_ar1_closed_form():
         np.testing.assert_allclose(rows[m - 1, :m], expected, atol=1e-14)
 
 
+@pytest.mark.parametrize("hurst", [0.05, 0.3, 0.7, 0.95])
+def test_walk_prefix_is_the_shorter_walk(hurst):
+    # A run walks once to its largest sample size; each shorter simulation
+    # reads a prefix, which must be the walk to its own size bit for bit.
+    beta, sigma2 = pacf_and_variances(fgn(hurst), 4000)
+    for n in (1, 2, 3, 500, 777, 1999, 2000, 4000):
+        short_beta, short_sigma2 = pacf_and_variances(fgn(hurst), n)
+        np.testing.assert_array_equal(beta[:n], short_beta)
+        np.testing.assert_array_equal(sigma2[:n], short_sigma2)
+
+
 @pytest.mark.parametrize("kernel", FAMILIES, ids=lambda k: k.label())
 def test_rows_and_variances_match_dense_solve(kernel):
     n = 50

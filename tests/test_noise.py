@@ -101,6 +101,23 @@ def test_kernel_json_rejects_bad_shapes():
             kernel_from_json(text)
 
 
+def test_kernel_json_rejects_unknown_keys_and_non_numeric_params():
+    # Each of these loaded as ar1(0.5) or fgn(1.0), the bad part dropped or coerced.
+    for text, name in (
+        ('{"family": "ar1", "params": {"a": 0.5, "b": 1}}', "b"),
+        ('{"family": "ar1", "params": {"a": 0.5}, "extra": 1}', "extra"),
+        ('{"family": "white", "params": {"a": 0.5}}', "a"),
+        ('{"family": "ar1", "params": {"a": "0.5"}}', "params.a"),
+        ('{"family": "fgn", "params": {"H": true}}', "params.H"),
+        ('{"family": "fgn", "params": {"H": null}}', "params.H"),
+    ):
+        with pytest.raises(ValueError, match=name):
+            kernel_from_json(text)
+    # Integers and numpy numbers are real numbers.
+    assert kernel_from_json('{"family": "ar1", "params": {"a": 0}}') == ar1(0.0)
+    assert kernel_from_json({"family": "fgn", "params": {"H": np.float32(0.5)}}) == fgn(0.5)
+
+
 @given(st.floats(min_value=-0.99, max_value=0.99))
 @settings(max_examples=40, deadline=None)
 def test_kernel_json_round_trip_property(a):

@@ -16,9 +16,15 @@ from armle import (
     pacf_and_variances,
     white,
 )
-from armle.state import _filtered_path, _gram_moment
+from armle.state import _filtered_path, _gram_moment, _simulated_path
 
-from _oracles import dense_log_likelihood, dense_state, random_stable_theta, transition
+from _oracles import (
+    dense_log_likelihood,
+    dense_state,
+    random_stable_theta,
+    transition,
+    two_walk_path,
+)
 
 ORACLE_KERNELS = [white(), ar1(0.6), fgn(0.3), fgn(0.7)]
 
@@ -90,6 +96,38 @@ def test_path_matches_dense_state(kernel, p):
             np.testing.assert_allclose(w, ref.w, rtol=0, atol=tol)
         np.testing.assert_allclose(path.sigma2, ref.sigma2, rtol=1e-12)
         np.testing.assert_array_equal(block.sigma2, path.sigma2)
+
+
+# AR(5) with a complex root pair of modulus 0.95, the edge of the battery's range.
+_EDGE_THETA = tuple(-np.real(np.poly([0.95j, -0.95j, 0.6, -0.5, 0.3])[1:]))
+
+
+@pytest.mark.parametrize(
+    "theta", [(0.5,), (1.2, -0.5, 0.1), _EDGE_THETA], ids=["p1", "p3", "p5_edge"]
+)
+@pytest.mark.parametrize(
+    "kernel",
+    [white(), ar1(0.5), ar1(-0.9), fgn(0.05), fgn(0.7), fgn(0.95)],
+    ids=lambda k: k.label(),
+)
+def test_simulated_path_matches_two_walks(kernel, theta):
+    # The state recursion along the true model gives the path that generating
+    # the noise, running the AR recursion and filtering the series give.
+    n, reps = 3000, 2
+    assert armle.is_stable(theta)
+    eps = np.stack([armle.standard_normals(armle.substream(5, r), n) for r in range(reps)])
+    markov = kernel.family in ("white", "ar1")
+    walk = None if markov else pacf_and_variances(kernel, n)
+    ours, ref = _simulated_path(theta, kernel, eps, walk), two_walk_path(theta, kernel, eps)
+    assert ours.z.shape == (reps, n) and ours.w.shape == (reps, n, len(theta))
+    np.testing.assert_array_equal(ours.sigma2, ref.sigma2)
+    if kernel.family == "white":
+        np.testing.assert_array_equal(ours.z, ref.z)
+        np.testing.assert_array_equal(ours.w, ref.w)
+        return
+    tol = 1e-12 * np.max(np.abs(ref.z))
+    np.testing.assert_allclose(ours.z, ref.z, rtol=0, atol=tol)
+    np.testing.assert_allclose(ours.w, ref.w, rtol=0, atol=tol)
 
 
 def test_too_short_and_bad_input():
