@@ -34,10 +34,11 @@ simulations of a block: one trajectory per replicate from substream
 simulated parameter depends on n, one per size index c from (seed, c, r).
 A simulation never forms the series: ``state._simulated_path`` steps the
 paper's state recursion from the innovations, over all replicates of a block
-at once. Under fgn noise it reads the filter's beta and sigma from one
-Durbin-Levinson walk per run, to the largest sample size, whose prefixes
-serve every block and every size; white and ar1 noise need no walk. The
-raw.csv header is the keys of the first row.
+at once. It reads the filter's beta and sigma**2 from the run's one walk
+(``pacf_and_variances``, to the largest sample size), whose prefixes serve
+every block and every size; the walk is the closed form for white and ar1
+noise, a Durbin-Levinson walk otherwise. The raw.csv header is the keys of
+the first row.
 Failed replicates (singular Gram) are recorded, excluded from aggregates and
 counted; a report passes only when the failure rate stays within 1 percent.
 Aggregates are recomputable from the raw rows and are bit-identical under any
@@ -61,10 +62,11 @@ from scipy.special import chdtri
 from . import rng
 from .ar import fisher_info, fisher_info_inverse, require_stable
 from .exceptions import Unstable
-from .filtering import MARKOV_FAMILIES, pacf_and_variances
+from .filtering import pacf_and_variances
 from .inference import _solve_gram
 from .noise import CovarianceKernel, kernel_from_json, validate_kernel
-from .state import _gram_moment, _simulated_path
+from .rng import _integer
+from .state import _gram_moment, _markov_walk, _simulated_path
 
 #: A report passes when at most this fraction of raw rows failed.
 FAILURE_BUDGET = 0.01
@@ -91,10 +93,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         def reals(name, v):
-            return None if v is None else tuple(_real(name, x) for x in v)
+            return None if v is None else tuple(_real(name, x) for x in _list(name, v))
 
         def sizes(name, v):
-            return tuple(sorted({_integer(name, n) for n in v}))
+            return tuple(sorted({_integer(name, n) for n in _list(name, v)}))
 
         coerce = {"experiment": lambda name, v: str(v), "theta": reals,
                   "sample_sizes": sizes, "replicates": _integer, "seed": _integer,
@@ -164,16 +166,17 @@ class ExperimentConfig:
         unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"experiment config has unknown keys: {sorted(unknown)}")
+        if not isinstance(obj["kernel"], dict):
+            raise ValueError(f"kernel must be a JSON object, got {obj['kernel']!r}")
         return cls(**obj | {"kernel": kernel_from_json(obj["kernel"])})
 
 
-def _integer(name: str, v) -> int:
-    """``v`` as an int: an integer or an integral float. Anything else, a bool
-    included, raises ValueError naming the field."""
-    integral = isinstance(v, (float, np.floating)) and float(v).is_integer()
-    if isinstance(v, bool) or not (isinstance(v, (int, np.integer)) or integral):
-        raise ValueError(f"{name} must be an integer, got {v!r}")
-    return int(v)
+def _list(name: str, v):
+    """``v`` itself if it is a list, a tuple or a 1-d array; anything else, a
+    scalar or a string included, raises ValueError naming the field."""
+    if not (isinstance(v, (list, tuple)) or (isinstance(v, np.ndarray) and v.ndim == 1)):
+        raise ValueError(f"{name} must be a list, got {v!r}")
+    return v
 
 
 def _real(name: str, v) -> float:
@@ -248,23 +251,24 @@ def _fmt_cell(v) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _block_size(cfg: ExperimentConfig) -> int:
+def _block_size(walk) -> int:
     """Replicates per block: up to 64, within a budget of time steps.
 
-    Under an fgn kernel a block steps the state recursion, one Python loop of
-    n steps whatever the number of replicates, so a budget of 2**17 steps
-    spreads that per-step cost over the block while bounding its memory: the
-    time-major buffer of z and w is at most (p + 1) MiB. White and ar1 kernels
-    have no loop to share; their budget of 2**14 steps keeps each (R, n) array
-    of a block within 128 KiB, in cache and on the heap rather than in freshly
-    mapped pages, and the (R, n, p) score weights within 128 p KiB. The Gram at the sample sizes is
-    (R, len(sizes), p, p); only qsl and lil, which read it at every k, hold an
-    (R, n, p, p) Gram of up to 128 p**2 KiB. The size depends on the config
-    alone, so the partition into blocks, and with it every report, is the
-    same for any job count.
+    The walk runs to the largest size n. Where its beta reach past lag 1 (fgn)
+    a block steps the state recursion, one Python loop of n steps whatever
+    the number of replicates, so a budget of 2**17 steps spreads that per-step
+    cost over the block while bounding its memory: the time-major buffer of z
+    and w is at most (p + 1) MiB. Where they vanish (`_markov_walk`) no loop
+    is shared; a budget of 2**14 steps keeps each (R, n) array of a block
+    within 128 KiB, in cache and on the heap rather than in freshly mapped
+    pages, and the (R, n, p) score weights within 128 p KiB. The Gram at the
+    sample sizes is (R, len(sizes), p, p); only qsl and lil, which read it at
+    every k, hold an (R, n, p, p) Gram of up to 128 p**2 KiB. The walk depends
+    on the config alone, so the partition into blocks, and with it every
+    report, is the same for any job count.
     """
-    steps = 2**14 if cfg.kernel.family in MARKOV_FAMILIES else 2**17
-    return min(64, max(1, steps // max(cfg.sample_sizes)))
+    steps = 2**14 if _markov_walk(walk[0]) else 2**17
+    return min(64, max(1, steps // walk[0].size))
 
 
 def _draws(cfg: ExperimentConfig) -> list[tuple]:
@@ -292,7 +296,7 @@ def _rows_block(cfg: ExperimentConfig, walk, reps: range) -> list[dict]:
         eps = np.empty((len(reps), n))
         for k, rep in enumerate(reps):
             eps[k] = rng.standard_normals(rng.substream(*prefix, rep), n)
-        path = _simulated_path(theta, cfg.kernel, eps, walk)
+        path = _simulated_path(theta, eps, walk)
         del eps  # block-sized arrays are dropped once used, to bound peak memory
         gram, moment = _gram_moment(path, range(1, n + 1) if every_k else sizes)
         theta_hat, _, solved = _solve_gram(gram, moment)
@@ -564,14 +568,12 @@ def run_experiment(
     cfg.validate()
     t0 = time.perf_counter()
     reps = cfg.replicates
-    size = _block_size(cfg)
+    # One walk to the largest size: every block and every size reads a prefix.
+    walk = pacf_and_variances(cfg.kernel, max(cfg.sample_sizes))
+    size = _block_size(walk)
     blocks = [range(start, min(start + size, reps)) for start in range(0, reps, size)]
     tick = max(1, reps // 10)
     chunks: list[list[dict]] = []
-    # One walk to the largest size: every block and every size reads a prefix.
-    walk = None if cfg.kernel.family in MARKOV_FAMILIES else pacf_and_variances(
-        cfg.kernel, max(cfg.sample_sizes)
-    )
     rows_of = partial(_rows_block, cfg, walk)
     for block, result in zip(blocks, _map_blocks(rows_of, blocks, jobs)):
         chunks.append(result)

@@ -17,16 +17,16 @@ Everything is O(n) memory in streaming form; materializing all rows
 (`kernel_rows`) costs O(n^2).
 
 The stream depends on the kernel and n only, never on data, and its first m
-steps do not depend on n either. `_generate` (for `noise_from_innovations`)
-and `_whiten` (for `filter_observations`) therefore apply one walk to every
-series of a batch at once (time along the last axis). The Markov kernels
-(white, ar1) skip the walk for their O(n) closed form there and in
-`pacf_and_variances`. `_whiten` whitens the series alone, one dot product per
+steps do not depend on n either. Its scalar part, the walk
+(beta_1..beta_n, sigma_1**2..sigma_n**2) of `pacf_and_variances`, is the one
+description of a kernel's filter: the Markov kernels (white, ar1) give it in
+closed form (`_markov`), and the Monte Carlo harness reads nothing else, once
+per run (`state._simulated_path`). The library filters one series:
+`_generate` (for `noise_from_innovations`) and `_whiten` (for
+`filter_observations`) read beta_1 and sigma**2 of a Markov walk, or apply
+the stream's rows. `_whiten` whitens the series alone, one dot product per
 step: lag j + 1 of the whitened state Z_m is lag j of the score weight w_m, so
-`state._filtered_path` derives the lags. The Monte Carlo harness applies no
-row at all: it reads beta and sigma**2 of one `pacf_and_variances` walk per
-run and steps the state recursion from the innovations
-(`state._simulated_path`).
+`state._filtered_path` derives the lags.
 """
 from __future__ import annotations
 
@@ -38,13 +38,11 @@ import numpy as np
 from .ar import apply_ar
 from .exceptions import NotPositiveDefinite
 from .noise import CovarianceKernel, covariance
+from .rng import _integer
 
 #: Floor under which a one-step prediction variance (or the factor
 #: 1 - beta_n**2 producing it) is treated as numerically degenerate.
 VARIANCE_FLOOR = 1e-12
-
-#: Kernel families whose filter has a closed form (no stream walk).
-MARKOV_FAMILIES = ("white", "ar1")
 
 
 class StreamStep(NamedTuple):
@@ -92,72 +90,62 @@ def _stream(kernel: CovarianceKernel, n: int) -> Iterator[StreamStep]:
         yield StreamStep(m, row[:m], beta, sigma2)
 
 
-def _markov(kernel: CovarianceKernel, n: int) -> tuple[float, np.ndarray] | None:
-    """Closed-form filter of a Markov kernel: (a, sigma_1..sigma_n), else None.
+def _markov(kernel: CovarianceKernel, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The closed-form walk (beta, sigma2) of a Markov kernel, else None.
 
     For ar1 (and white, the case a = 0) beta_1 = a and beta_m = 0 afterwards,
-    so every row from the second on is (0, ..., 0, -a, 1) and
-    sigma_m = sqrt(1 - a**2) for m >= 2.
+    so every row from the second on is (0, ..., 0, -a, 1), sigma_1**2 = 1 and
+    sigma_m**2 = 1 - a**2; the positivity check runs at every n.
     """
-    if kernel.family not in MARKOV_FAMILIES:
+    if kernel.family not in ("white", "ar1"):
         return None
     a = kernel.a if kernel.family == "ar1" else 0.0
-    sigma = np.ones(n)
-    if n > 1:
-        sigma[1:] = math.sqrt(_check_positive(a, 1.0, 2))
-    return a, sigma
+    beta = np.zeros(n)
+    beta[:1] = a
+    sigma2 = np.full(n, _check_positive(a, 1.0, 2))
+    sigma2[:1] = 1.0
+    return beta, sigma2
 
 
 def _generate(kernel: CovarianceKernel, eps: np.ndarray) -> np.ndarray:
-    """Map innovations eps, shape (..., n), to stationary paths of the same shape.
+    """Map innovations eps_1..eps_n of one series to a stationary path.
 
-    Inverts the whitening map along the last axis,
-    xi_m = sigma_m * eps_m - sum_{i<m} k(m, i) * xi_i,
-    with one stream walk for all leading indices.
+    Inverts the whitening map, xi_m = sigma_m * eps_m - sum_{i<m} k(m, i) * xi_i.
     """
-    eps = np.asarray(eps, dtype=float)
-    n = eps.shape[-1]
-    markov = _markov(kernel, n)
-    if markov is not None:
-        a, sigma = markov
-        return apply_ar((a,), sigma * eps)
-    xi = np.empty_like(eps)
-    # Time-first views: xi_t[:i] is the (i, R) slab the row multiplies.
-    xi_t, eps_t = xi.T, eps.T
+    n = eps.size
+    walk = _markov(kernel, n)
+    if walk is not None:
+        beta, sigma2 = walk
+        return apply_ar(beta[:1], np.sqrt(sigma2) * eps)
+    xi = np.empty(n)
     for step in _stream(kernel, n):
         i = step.index - 1
-        xi_t[i] = math.sqrt(step.sigma2) * eps_t[i] - step.row[:i] @ xi_t[:i]
+        xi[i] = math.sqrt(step.sigma2) * eps[i] - step.row[:i] @ xi[:i]
     return xi
 
 
-def _whiten(
-    kernel: CovarianceKernel, x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Whiten observations x, shape (..., n), along the last axis.
+def _whiten(kernel: CovarianceKernel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Whiten one series x_1..x_n.
 
-    Returns (z, sigma2, pacf): ``z[..., m-1] = sum_{i<=m} k(m, i) x_i``, shape
-    (..., n); sigma_1**2..sigma_n**2; and pacf[m] = beta_m for 1 <= m <= n-1
-    with pacf[0] = 0.
+    Returns (z, beta, sigma2): ``z[m-1] = sum_{i<=m} k(m, i) x_i``,
+    beta_1..beta_{n-1} and sigma_1**2..sigma_n**2.
     """
-    x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
-    pacf = np.zeros(n)
-    markov = _markov(kernel, n)
-    if markov is not None:
-        a, sigma = markov
-        pacf[1:2] = a
+    n = x.size
+    walk = _markov(kernel, n)
+    if walk is not None:
+        beta, sigma2 = walk
         z = x.copy()
-        z[..., 1:] -= a * x[..., :-1]
-        return z, sigma**2, pacf
-    z = np.empty_like(x)
+        z[1:] -= beta[0] * x[:-1]
+        return z, beta[:-1], sigma2
+    z = np.empty(n)
+    pacf = np.empty(n)  # pacf[m - 1] = beta_{m-1}, pacf[0] = 0
     sigma2 = np.empty(n)
-    x_t, z_t = x.T, z.T
     for step in _stream(kernel, n):
         m = step.index
         sigma2[m - 1] = step.sigma2
         pacf[m - 1] = step.beta_prev
-        z_t[m - 1] = step.row @ x_t[:m]
-    return z, sigma2, pacf
+        z[m - 1] = step.row @ x[:m]
+    return z, pacf[1:], sigma2
 
 
 def kernel_rows(kernel: CovarianceKernel, n: int) -> np.ndarray:
@@ -165,7 +153,7 @@ def kernel_rows(kernel: CovarianceKernel, n: int) -> np.ndarray:
 
     ``rows[m-1, i-1] = k(m, i)`` for 1 <= i <= m <= n; zeros above the diagonal.
     """
-    n = int(n)
+    n = _integer("n", n)
     if n < 1:
         raise ValueError("n must be at least 1")
     out = np.zeros((n, n))
@@ -175,22 +163,18 @@ def kernel_rows(kernel: CovarianceKernel, n: int) -> np.ndarray:
 
 
 def pacf_and_variances(kernel: CovarianceKernel, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Return (beta_1..beta_n, sigma_1**2..sigma_n**2) for diagnostics and dumps.
+    """The filter's walk: (beta_1..beta_n, sigma_1**2..sigma_n**2).
 
-    White and ar1 give beta_1 = a, beta_m = 0 and sigma_m**2 = 1 - a**2
-    (m >= 2) exactly, without the O(n**2) walk.
+    The Monte Carlo harness reads a run's walk and nothing else of the filter;
+    `armle filter` dumps it. White and ar1 give their closed form (`_markov`)
+    without the O(n**2) stream.
     """
-    n = int(n)
+    n = _integer("n", n)
     if n < 1:
         raise ValueError("n must be at least 1")
-    markov = _markov(kernel, 2)  # 2 steps: the positivity check runs at n = 1 too
-    if markov is not None:
-        a = markov[0]
-        beta = np.zeros(n)
-        beta[0] = a
-        sigma2 = np.full(n, 1.0 - a * a)
-        sigma2[0] = 1.0
-        return beta, sigma2
+    walk = _markov(kernel, n)
+    if walk is not None:
+        return walk
     beta = np.empty(n)
     sigma2 = np.empty(n)
     for step in _stream(kernel, n + 1):

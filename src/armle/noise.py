@@ -171,7 +171,7 @@ def validate_kernel(kernel: CovarianceKernel, horizon: int) -> ValidationReport:
     """
     from .filtering import pacf_and_variances
 
-    n = int(horizon)
+    n = rng._integer("horizon", horizon)
     if n < 1:
         raise ValueError("horizon must be at least 1")
     beta, sigma2 = pacf_and_variances(kernel, n)
@@ -204,7 +204,8 @@ def _fit_decay_exponent(beta: np.ndarray) -> float | None:
 
 
 def noise_from_innovations(kernel: CovarianceKernel, eps: np.ndarray) -> np.ndarray:
-    """Map i.i.d. standard normal innovations to an exact stationary path.
+    """Map i.i.d. standard normal innovations eps_1..eps_n, a 1-d array, to an
+    exact stationary path.
 
     Inverts the whitening map of the Durbin-Levinson filter,
     xi_m = sigma_m * eps_m - sum_{i<m} k(m, i) * xi_i: O(n) for white and
@@ -212,6 +213,8 @@ def noise_from_innovations(kernel: CovarianceKernel, eps: np.ndarray) -> np.ndar
     """
     from .filtering import _generate
 
+    if np.ndim(eps) != 1:
+        raise ValueError(f"innovations must be a 1-d array, got shape {np.shape(eps)}")
     eps = np.ascontiguousarray(eps, dtype=float)
     if eps.size == 0:
         return np.empty(0)
@@ -224,7 +227,7 @@ def sample_noise(kernel: CovarianceKernel, n: int, seed: int) -> np.ndarray:
     Deterministic given ``(kernel, n, seed)``; the innovations are drawn from
     the root substream of ``seed`` (see :mod:`armle.rng`).
     """
-    n = int(n)
+    n = rng._integer("n", n)
     if n < 1:
         raise ValueError("n must be at least 1")
     eps = rng.standard_normals(rng.substream(seed), n)

@@ -17,6 +17,15 @@ from scipy.special import ndtri
 _U53 = 1 << 53
 
 
+def _integer(name: str, v) -> int:
+    """``v`` as an int: an integer or an integral float. Anything else, a bool
+    included, raises ValueError naming the argument."""
+    integral = isinstance(v, (float, np.floating)) and float(v).is_integer()
+    if isinstance(v, bool) or not (isinstance(v, (int, np.integer)) or integral):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Return the generator for the substream identified by ``path``.
 
@@ -28,11 +37,13 @@ def substream(seed: int, *path: int) -> np.random.Generator:
         Substream indices, e.g. ``substream(seed, replicate)`` or
         ``substream(seed, size_index, replicate)``.
     """
+    seed = _integer("seed", seed)
+    path = tuple(_integer("path", k) for k in path)
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    if any(int(k) < 0 for k in path):
+    if any(k < 0 for k in path):
         raise ValueError("substream indices must be nonnegative")
-    key = np.random.SeedSequence(int(seed), spawn_key=tuple(int(k) for k in path))
+    key = np.random.SeedSequence(seed, spawn_key=path)
     return np.random.Generator(np.random.PCG64(key))
 
 

@@ -24,11 +24,11 @@ Z_m[0], w_m and sigma_m**2, which is all `FilteredPath` keeps. It depends only
 on the data and the kernel, never on theta; all theta-dependence enters
 through the quadratic form in (gram, moment).
 
-`filter_observations` builds the path from data (`_filtered_path`). A
-simulation needs no data: along the true model Z_m[0] = theta . w_m +
-sigma_m eps_m, so `_simulated_path` steps the transition from the innovations
-eps_m, reading beta and sigma from the filter walk and never forming the
-series.
+`filter_observations` builds the path of one series from data
+(`_filtered_path`). A simulation needs no data: along the true model
+Z_m[0] = theta . w_m + sigma_m eps_m, so `_simulated_path` steps the
+transition from the innovations eps_m of a block, reading beta and sigma**2
+of the filter's walk alone and never forming the series.
 """
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ import numpy as np
 
 from .ar import apply_ar, as_theta
 from .exceptions import DimensionMismatch, TooShort
-from .filtering import _markov, _whiten
+from .filtering import _whiten
 from .noise import CovarianceKernel
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -104,33 +104,37 @@ def filter_observations(x, kernel: CovarianceKernel, p: int) -> FilteredPath:
 
 
 def _filtered_path(kernel: CovarianceKernel, x: np.ndarray, p: int) -> FilteredPath:
-    """Whiten observations x, shape (..., n), and derive the score weights w,
-    shape (..., n, p), from the whitened series z.
+    """Whiten one series x and derive the score weights w, shape (n, p), from
+    the whitened series z.
 
     w_m holds lags 1..p of Z_m, and lag j + 1 of Z_m is lag j of w_m, so each
     lag is the weight map W(u)_m = u_{m-1} + beta_{m-1} c_{m-1} of the one
     before, with the carry c_m = sum_{i<m} beta_i u_i (c_1 = 0, W(u)_1 = 0),
     starting from u = z.
     """
-    z, sigma2, pacf = _whiten(kernel, x)
-    del x  # a simulated block is dropped once whitened, to bound peak memory
-    w = np.zeros(z.shape + (p,))
+    z, beta, sigma2 = _whiten(kernel, x)
+    w = np.zeros((z.size, p))
     carry = np.zeros_like(z)
     u = z
     for j in range(p):
-        np.multiply(pacf[1:], u[..., :-1], out=carry[..., 1:])
-        np.cumsum(carry, axis=-1, out=carry)
-        lag = w[..., j]
-        np.multiply(pacf[1:], carry[..., :-1], out=lag[..., 1:])
-        lag[..., 1:] += u[..., :-1]
+        np.multiply(beta, u[:-1], out=carry[1:])
+        np.cumsum(carry, out=carry)
+        lag = w[:, j]
+        np.multiply(beta, carry[:-1], out=lag[1:])
+        lag[1:] += u[:-1]
         u = lag
     return FilteredPath(z=z, w=w, sigma2=sigma2)
 
 
-def _simulated_path(theta, kernel: CovarianceKernel, eps: np.ndarray, walk) -> FilteredPath:
-    """Filtered path of AR(theta) series driven by the kernel's noise with
-    innovations eps, shape (R, n), by the state recursion along the true model;
-    the series itself is never formed.
+def _markov_walk(beta: np.ndarray) -> bool:
+    """True when beta vanish past lag 1 (white, ar1): the recursion is the AR filter."""
+    return not beta[1:].any()
+
+
+def _simulated_path(theta, eps: np.ndarray, walk) -> FilteredPath:
+    """Filtered path of AR(theta) series driven by the noise of the filter walk
+    ``walk`` with innovations eps, shape (R, n), by the state recursion along
+    the true model; the series itself is never formed.
 
     With Z_m = (z_m, w_m[0..p-2]), the carry C_1 = 0 and w_1 = 0, each step is
 
@@ -140,22 +144,20 @@ def _simulated_path(theta, kernel: CovarianceKernel, eps: np.ndarray, walk) -> F
     one loop over m, each operation over the R replicates and theta . w_m a
     fixed-order sum over the lags, so that a replicate's path does not depend
     on R. ``walk`` is (beta, sigma2) of ``pacf_and_variances(kernel, N)`` for
-    any N >= n, of which the recursion reads a prefix. White and ar1 kernels
-    take ``walk = None``: beta_m = 0 from m = 2 on, so w holds the lags of z
-    and z = apply_ar(theta, sigma * eps).
+    any N >= n, of which the recursion reads a prefix. Where beta vanish past
+    lag 1 (`_markov_walk`) w holds the lags of z and z = apply_ar(theta,
+    sigma * eps).
     """
     th = as_theta(theta)
     p = th.size
     reps, n = eps.shape
-    markov = _markov(kernel, n)
-    if markov is not None:
-        _, sigma = markov
-        z = apply_ar(th, sigma * eps)
+    beta, sigma2 = walk[0][:n], walk[1][:n]
+    if _markov_walk(beta):
+        z = apply_ar(th, np.sqrt(sigma2) * eps)
         w = np.zeros((reps, n, p))
         for j in range(p):
             w[:, j + 1 :, j] = z[:, : n - j - 1]
-        return FilteredPath(z=z, w=w, sigma2=sigma**2)
-    beta, sigma2 = walk[0][:n], walk[1][:n]
+        return FilteredPath(z=z, w=w, sigma2=sigma2)
     # Time-major: g[m] = (z_m, w_m) over the replicates. Row n holds the unused
     # w_{n+1}; z and w of the path are views of the first n rows.
     g = np.empty((n + 1, p + 1, reps))

@@ -14,7 +14,7 @@ import scipy.linalg
 
 from armle import apply_ar, companion, covariance
 from armle.filtering import _generate
-from armle.state import _filtered_path
+from armle.state import FilteredPath, _filtered_path
 
 
 def dense_covariance(kernel, n):
@@ -78,9 +78,16 @@ def dense_state(x, kernel, p):
 
 def two_walk_path(theta, kernel, eps):
     """Filtered path of AR(theta) series simulated from innovations eps, shape
-    (R, n): the noise from one walk, the series by the AR recursion and its
-    filtered path from a second walk."""
-    return _filtered_path(kernel, apply_ar(theta, _generate(kernel, eps)), len(theta))
+    (R, n), one replicate at a time: the noise from one walk, the series by
+    the AR recursion and its filtered path from a second walk."""
+    paths = [
+        _filtered_path(kernel, apply_ar(theta, _generate(kernel, e)), len(theta)) for e in eps
+    ]
+    return FilteredPath(
+        z=np.stack([q.z for q in paths]),
+        w=np.stack([q.w for q in paths]),
+        sigma2=paths[0].sigma2,
+    )
 
 
 def cholesky_sigmas(kernel, n):

@@ -519,6 +519,10 @@ def test_experiment_config_errors(tmp_path, capsys):
         ({"replicates": 2.9}, "replicates"),
         ({"theta": [True]}, "theta"),
         ({"kernel": extra_param}, "unknown params"),
+        ({"theta": 0.3}, "theta"),
+        ({"sample_sizes": 100}, "sample_sizes"),
+        ({"shift": 0.5}, "shift"),
+        ({"kernel": "white"}, "kernel"),
     ):
         cfg = _experiment_config(tmp_path, **bad)
         out_dir = tmp_path / f"out_{next(iter(bad))}"

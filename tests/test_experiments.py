@@ -21,7 +21,6 @@ from armle import (
 from armle import experiments
 from armle.cli import main
 from armle.experiments import _block_size
-from armle.filtering import MARKOV_FAMILIES
 from armle.inference import _solve_gram
 from armle.state import _gram_moment, _simulated_path
 
@@ -41,11 +40,6 @@ def _base_cfg(**kw):
     return ExperimentConfig(**args)
 
 
-def _walk(kernel, n):
-    """The walk a run to largest size n hands to its blocks."""
-    return None if kernel.family in MARKOV_FAMILIES else armle.pacf_and_variances(kernel, n)
-
-
 # ---------------------------------------------------------------------------
 # Engine
 # ---------------------------------------------------------------------------
@@ -59,7 +53,7 @@ def test_score_arrays_match_public_route(kernel, theta):
     p = len(theta)
     n = 120
     eps = np.stack([armle.standard_normals(armle.substream(42, r), n) for r in range(5)])
-    block = _simulated_path(theta, kernel, eps, _walk(kernel, n))
+    block = _simulated_path(theta, eps, armle.pacf_and_variances(kernel, n))
     cum_gram, cum_mom = _gram_moment(block, range(1, n + 1))
     for r in range(5):
         xi = armle.noise_from_innovations(kernel, eps[r])
@@ -80,7 +74,7 @@ def test_score_arrays_match_public_route(kernel, theta):
         np.testing.assert_allclose(theta_hat[0], armle.mle(path).theta_hat, rtol=1e-9)
     # A replicate simulated alone is the same replicate inside the block, bit
     # for bit: every step of the recursion is elementwise over the replicates.
-    alone = _simulated_path(theta, kernel, eps[3:4], _walk(kernel, n))
+    alone = _simulated_path(theta, eps[3:4], armle.pacf_and_variances(kernel, n))
     np.testing.assert_array_equal(alone.w[0], block.w[3])
     np.testing.assert_array_equal(alone.z[0], block.z[3])
 
@@ -93,7 +87,7 @@ def test_gram_moment_at_sizes_matches_running_sums(kernel, p):
     n, sizes = 300, (7, 50, 51, 200, 300)
     eps = np.stack([armle.standard_normals(armle.substream(11, r), n) for r in range(3)])
     theta = np.resize([0.4, -0.2, 0.1], p)
-    path = _simulated_path(theta, kernel, eps, _walk(kernel, n))
+    path = _simulated_path(theta, eps, armle.pacf_and_variances(kernel, n))
     gram, moment = _gram_moment(path, sizes)
     cum_gram, cum_mom = _gram_moment(path, range(1, n + 1))
     assert gram.shape == (3, len(sizes), p, p) and moment.shape == (3, len(sizes), p)
@@ -162,11 +156,18 @@ def test_config_rejects_other_than_the_config_given():
         ({"seed": np.bool_(True)}, "seed"),
         ({"replicates": "5"}, "replicates"),
         ({"alfa": 0.5}, "alfa"),
+        ({"theta": 0.3}, "theta"),
+        ({"sample_sizes": 100}, "sample_sizes"),
+        ({"shift": 0.5}, "shift"),
+        ({"kernel": "white"}, "kernel"),
+        ({"kernel": '{"family": "white", "params": {}}'}, "kernel"),
     ):
         with pytest.raises(ValueError, match=key):
             ExperimentConfig.from_json_dict(base | bad)
     with pytest.raises(ValueError, match="replicates"):
         _base_cfg(replicates=5.5)
+    with pytest.raises(ValueError, match="direction"):
+        _base_cfg(direction=1.0)
     # Integers of numpy type and integral floats are the same config.
     same = ExperimentConfig.from_json_dict(
         base | {"sample_sizes": [np.int64(100), 200.0], "replicates": np.int32(5)}
@@ -220,7 +221,7 @@ def test_report_job_independent_across_blocks():
     cfg = _base_cfg(
         experiment="test_size", kernel=fgn(0.7), sample_sizes=(2048,), replicates=131
     )
-    assert _block_size(cfg) == 64
+    assert _block_size(armle.pacf_and_variances(cfg.kernel, 2048)) == 64
     ref = run_experiment(cfg, jobs=1)
     expected = ref.to_json_dict()
     expected.pop("runtime_seconds")
@@ -317,19 +318,21 @@ def test_power_exceeds_size_under_shift():
     assert 0.0 <= report.summary["predicted_power"] <= 1.0
 
 
-def test_power_sizes_read_a_prefix_of_one_walk(monkeypatch):
-    # A run walks the filter once, to its largest size. Giving each test_power
-    # size a walk of its own length instead leaves the report unchanged.
+@pytest.mark.parametrize("kernel", [white(), ar1(0.5), fgn(0.7)], ids=lambda k: k.label())
+def test_power_sizes_read_a_prefix_of_one_walk(monkeypatch, kernel):
+    # A run walks the filter once, to its largest size, Markov kernels
+    # included. Giving each test_power size a walk of its own length instead
+    # leaves the report unchanged.
     cfg = _base_cfg(
-        experiment="test_power", kernel=fgn(0.7), shift=(1.0,),
+        experiment="test_power", kernel=kernel, shift=(1.0,),
         sample_sizes=(60, 151, 400), replicates=5,
     )
     walks = []
 
-    def own_walk(theta, kernel, eps, walk):
+    def own_walk(theta, eps, walk):
         walks.append(len(walk[0]))
         n = eps.shape[-1]
-        return _simulated_path(theta, kernel, eps, armle.pacf_and_variances(kernel, n))
+        return _simulated_path(theta, eps, armle.pacf_and_variances(kernel, n))
 
     shared = run_experiment(cfg)
     monkeypatch.setattr(experiments, "_simulated_path", own_walk)

@@ -166,6 +166,43 @@ def test_noise_from_innovations_white_identity():
     assert xi is not eps
 
 
+def test_noise_from_innovations_takes_one_series():
+    eps = np.zeros((2, 5))
+    for kernel in (white(), ar1(0.5), fgn(0.7)):
+        with pytest.raises(ValueError, match="1-d"):
+            noise_from_innovations(kernel, eps)
+        with pytest.raises(ValueError, match="1-d"):
+            noise_from_innovations(kernel, 0.3)
+
+
+def test_length_and_seed_arguments_are_integers():
+    # A non-integral value or a bool would be truncated into another length,
+    # horizon or substream; integral floats and numpy integers are the same call.
+    k = fgn(0.7)
+    calls = {
+        "n": [
+            lambda v: armle.pacf_and_variances(k, v),
+            lambda v: armle.kernel_rows(k, v),
+            lambda v: sample_noise(k, v, 1),
+            lambda v: armle.simulate_series((0.3,), k, v, 1),
+        ],
+        "horizon": [lambda v: validate_kernel(k, v)],
+        "seed": [lambda v: sample_noise(k, 4, v), lambda v: armle.substream(v)],
+        "path": [lambda v: armle.substream(1, v)],
+    }
+    for name, fns in calls.items():
+        for fn in fns:
+            for bad in (2.9, 2.5, True, np.bool_(True), "3"):
+                with pytest.raises(ValueError, match=name):
+                    fn(bad)
+    assert len(armle.pacf_and_variances(k, 3.0)[0]) == 3
+    assert armle.kernel_rows(k, np.int32(3)).shape == (3, 3)
+    assert sample_noise(k, 3.0, 2.0).tolist() == sample_noise(k, 3, 2).tolist()
+    assert validate_kernel(k, 5.0).horizon == 5
+    a, b = armle.substream(1.0, np.int64(2)), armle.substream(1, 2)
+    assert a.integers(1 << 30) == b.integers(1 << 30)
+
+
 def test_noise_covariance_matches_kernel():
     # Empirical covariance across many short replicates.
     k = ar1(0.6)

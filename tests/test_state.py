@@ -16,7 +16,7 @@ from armle import (
     pacf_and_variances,
     white,
 )
-from armle.state import _filtered_path, _gram_moment, _simulated_path
+from armle.state import _gram_moment, _simulated_path
 
 from _oracles import (
     dense_log_likelihood,
@@ -82,20 +82,15 @@ def test_carry_telescopes():
 @pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=lambda k: k.label())
 def test_path_matches_dense_state(kernel, p):
-    # One series and a block of replicates both agree with the dense oracle.
     n = 60
-    xs = np.stack([_random_path(kernel, p, n, seed=s, theta=(0.4, -0.2, 0.1))[1] for s in (1, 2)])
-    block = _filtered_path(kernel, xs, p)
-    assert block.z.shape == (2, n) and block.w.shape == (2, n, p) and block.n == n
-    for r, x in enumerate(xs):
+    for seed in (1, 2):
+        path, x = _random_path(kernel, p, n, seed=seed, theta=(0.4, -0.2, 0.1))
+        assert path.z.shape == (n,) and path.w.shape == (n, p) and path.n == n
         ref = dense_state(x, kernel, p)
         tol = 1e-12 * np.max(np.abs(x))
-        path = filter_observations(x, kernel, p)
-        for z, w in ((path.z, path.w), (block.z[r], block.w[r])):
-            np.testing.assert_allclose(z, ref.z[:, 0], rtol=0, atol=tol)
-            np.testing.assert_allclose(w, ref.w, rtol=0, atol=tol)
+        np.testing.assert_allclose(path.z, ref.z[:, 0], rtol=0, atol=tol)
+        np.testing.assert_allclose(path.w, ref.w, rtol=0, atol=tol)
         np.testing.assert_allclose(path.sigma2, ref.sigma2, rtol=1e-12)
-        np.testing.assert_array_equal(block.sigma2, path.sigma2)
 
 
 # AR(5) with a complex root pair of modulus 0.95, the edge of the battery's range.
@@ -116,9 +111,8 @@ def test_simulated_path_matches_two_walks(kernel, theta):
     n, reps = 3000, 2
     assert armle.is_stable(theta)
     eps = np.stack([armle.standard_normals(armle.substream(5, r), n) for r in range(reps)])
-    markov = kernel.family in ("white", "ar1")
-    walk = None if markov else pacf_and_variances(kernel, n)
-    ours, ref = _simulated_path(theta, kernel, eps, walk), two_walk_path(theta, kernel, eps)
+    walk = pacf_and_variances(kernel, n)
+    ours, ref = _simulated_path(theta, eps, walk), two_walk_path(theta, kernel, eps)
     assert ours.z.shape == (reps, n) and ours.w.shape == (reps, n, len(theta))
     np.testing.assert_array_equal(ours.sigma2, ref.sigma2)
     if kernel.family == "white":
@@ -128,6 +122,20 @@ def test_simulated_path_matches_two_walks(kernel, theta):
     tol = 1e-12 * np.max(np.abs(ref.z))
     np.testing.assert_allclose(ours.z, ref.z, rtol=0, atol=tol)
     np.testing.assert_allclose(ours.w, ref.w, rtol=0, atol=tol)
+
+
+def test_markov_walk_variances_are_one_closed_form():
+    # The walk, the library's filter and the harness's simulated path carry
+    # the same sigma**2 = 1 - a**2, bit for bit.
+    n, a = 50, 0.5
+    _, sigma2 = pacf_and_variances(ar1(a), n)
+    assert sigma2[0] == 1.0 and np.all(sigma2[1:] == 1.0 - a * a)
+    x = armle.simulate_series((0.3,), ar1(a), n, 4)
+    eps = np.stack([armle.standard_normals(armle.substream(4, r), n) for r in range(2)])
+    for p in (1, 3):
+        np.testing.assert_array_equal(filter_observations(x, ar1(a), p).sigma2, sigma2)
+    harness = _simulated_path((0.3,), eps, pacf_and_variances(ar1(a), 2 * n))
+    np.testing.assert_array_equal(harness.sigma2, sigma2)
 
 
 def test_too_short_and_bad_input():
