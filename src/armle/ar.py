@@ -84,14 +84,16 @@ def fisher_info_inverse(theta) -> np.ndarray:
 
 
 def apply_ar(theta, xi) -> np.ndarray:
-    """Run the AR recursion over a noise path with the zero initial condition."""
+    """Run the AR recursion from a zero pre-sample along the last axis of xi: the unit
+    lower band system with band (1, -theta), solved per series by LAPACK tbtrs."""
     th = as_theta(theta)
     xi = np.ascontiguousarray(xi, dtype=float)
-    a = np.concatenate(([1.0], -th))
-    # Lazy: scipy.signal costs ~0.8 CPU-s to import (guard: test_cli::test_lazy_scipy_imports).
-    import scipy.signal
-
-    return scipy.signal.lfilter([1.0], a, xi)
+    if xi.size == 0:
+        return xi.copy()
+    n = xi.shape[-1]
+    band = np.tile(np.concatenate(([1.0], -th)), (n, 1)).T
+    x, _ = scipy.linalg.lapack.dtbtrs(band, xi.reshape(-1, n).T, uplo="L", diag="U")
+    return x.T.reshape(xi.shape)
 
 
 def simulate_series(theta, kernel: CovarianceKernel, n: int, seed: int) -> np.ndarray:

@@ -57,7 +57,7 @@ from itertools import chain
 from typing import Callable
 
 import numpy as np
-from scipy.special import chdtri
+from scipy.special import chdtri, chndtr
 
 from . import rng
 from .ar import fisher_info, fisher_info_inverse, require_stable
@@ -515,9 +515,6 @@ def _agg_lan_remainder(cfg, good):
 
 
 def _agg_test(cfg, good):
-    # Lazy: scipy.stats costs ~0.7 CPU-s to import (guard: test_cli::test_lazy_scipy_imports).
-    import scipy.stats
-
     crit = float(chdtri(cfg.p, cfg.alpha))
     per_n = _per_n(
         good, "reject", rejection_rate=np.mean,
@@ -528,7 +525,7 @@ def _agg_test(cfg, good):
         u = np.array(cfg.shift)
         lam = float(u @ fisher_info(cfg.theta) @ u)
         summary["noncentrality"] = lam
-        summary["predicted_power"] = float(scipy.stats.ncx2.sf(crit, cfg.p, lam))
+        summary["predicted_power"] = float(1.0 - chndtr(crit, cfg.p, lam))
     return per_n, summary
 
 

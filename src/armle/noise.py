@@ -85,7 +85,7 @@ def fgn(hurst: float) -> CovarianceKernel:
 
 def covariance(kernel: CovarianceKernel, lag: int) -> float:
     """Evaluate the kernel at a nonnegative integer lag."""
-    k = int(lag)
+    k = rng._integer("lag", lag)
     if k < 0:
         raise ValueError("lag must be nonnegative")
     if k == 0:

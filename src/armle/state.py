@@ -40,6 +40,7 @@ from .ar import apply_ar, as_theta
 from .exceptions import DimensionMismatch, TooShort
 from .filtering import _whiten
 from .noise import CovarianceKernel
+from .rng import _integer
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -90,7 +91,7 @@ def filter_observations(x, kernel: CovarianceKernel, p: int) -> FilteredPath:
         Model order (>= 1).
     """
     x = np.ascontiguousarray(x, dtype=float)
-    p = int(p)
+    p = _integer("p", p)
     if p < 1:
         raise ValueError("p must be at least 1")
     if x.ndim != 1:

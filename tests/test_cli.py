@@ -648,18 +648,24 @@ _SCIPY_LOADED = (
 
 
 def test_lazy_scipy_imports(tmp_path):
-    """estimate, test, lan, filter and validate-kernel leave scipy.signal and
-    scipy.stats unloaded; the functions that use them import them on first use."""
+    """simulate, estimate, test, lan, filter and validate-kernel leave scipy.signal and
+    scipy.stats unloaded, and so do apply_ar and the test experiments; the clt
+    aggregate imports scipy.stats on first use."""
     fgn = '{"family": "fgn", "params": {"H": 0.7}}'
+    white = '{"family": "white", "params": {}}'
     series = _simulate_file(tmp_path, "fgn.csv", (0.4, -0.2), fgn, 300, 3)
     fit = _SCIPY_LOADED + (
         "import json\n"
         "import armle\n"
-        "loaded = {'import armle': slow_scipy()}\n"
+        "loaded = [['import armle', slow_scipy()]]\n"
         "from armle.cli import main\n"
-        "loaded['import armle.cli'] = slow_scipy()\n"
+        "loaded.append(['import armle.cli', slow_scipy()])\n"
         f"args = ['--in', {str(series)!r}, '--kernel', {fgn!r}]\n"
         "for argv in (\n"
+        f"    ['simulate', '--theta', '0.4,-0.2', '--kernel', {white!r}, '--n', '50',\n"
+        f"     '--out', {str(tmp_path / 'white.csv')!r}],\n"
+        f"    ['simulate', '--theta', '0.4,-0.2', '--kernel', {fgn!r}, '--n', '50',\n"
+        f"     '--out', {str(tmp_path / 'fgn_out.csv')!r}],\n"
         "    ['estimate', '--p', '2'] + args,\n"
         "    ['test', '--theta0', '0.4,-0.2'] + args,\n"
         "    ['lan', '--theta0', '0.4,-0.2', '--u', '1.0,0.5'] + args,\n"
@@ -667,7 +673,7 @@ def test_lazy_scipy_imports(tmp_path):
         f"    ['validate-kernel', '--kernel', {fgn!r}],\n"
         "):\n"
         "    assert main(argv) == 0, argv\n"
-        "    loaded[argv[0]] = slow_scipy()\n"
+        "    loaded.append([argv[0], slow_scipy()])\n"
         "print(json.dumps(loaded))\n"
     )
     child = subprocess.run(
@@ -675,20 +681,25 @@ def test_lazy_scipy_imports(tmp_path):
     )
     assert child.returncode == 0, child.stderr
     loaded = json.loads(child.stdout.splitlines()[-1])
-    commands = ("estimate", "test", "lan", "filter", "validate-kernel")
-    assert loaded == dict.fromkeys(("import armle", "import armle.cli") + commands, [])
-    # First use in a fresh interpreter imports what each function needs.
+    names = ["import armle", "import armle.cli", "simulate", "simulate", "estimate", "test",
+             "lan", "filter", "validate-kernel"]
+    assert loaded == [[name, []] for name in names]
+    # First use in a fresh interpreter: only the clt aggregate imports scipy.stats.
     first_use = _SCIPY_LOADED + (
         "import numpy as np\n"
         "from armle import ExperimentConfig, apply_ar, run_experiment, white\n"
         "x = apply_ar((0.5,), np.ones(4))\n"
         "assert x.tolist() == [1.0, 1.5, 1.75, 1.875], x\n"
-        "assert 'scipy.signal' in slow_scipy()\n"
-        "clt = run_experiment(ExperimentConfig('clt', (0.3,), white(), (200,), 8, 1))\n"
-        "assert 0.0 <= clt.per_n[200]['ks_pvalue_1'] <= 1.0\n"
+        "assert slow_scipy() == [], slow_scipy()\n"
+        "size = run_experiment(ExperimentConfig(\n"
+        "    'test_size', (0.3,), white(), (200,), 8, 1))\n"
+        "assert 0.0 <= size.per_n[200]['rejection_rate'] <= 1.0\n"
         "power = run_experiment(ExperimentConfig(\n"
         "    'test_power', (0.3,), white(), (200,), 8, 1, shift=(2.0,)))\n"
         "assert 0.05 < power.summary['predicted_power'] < 1.0\n"
+        "assert slow_scipy() == [], slow_scipy()\n"
+        "clt = run_experiment(ExperimentConfig('clt', (0.3,), white(), (200,), 8, 1))\n"
+        "assert 0.0 <= clt.per_n[200]['ks_pvalue_1'] <= 1.0\n"
         "assert 'scipy.stats' in slow_scipy()\n"
     )
     child = subprocess.run(

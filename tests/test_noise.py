@@ -177,8 +177,10 @@ def test_noise_from_innovations_takes_one_series():
 
 def test_length_and_seed_arguments_are_integers():
     # A non-integral value or a bool would be truncated into another length,
-    # horizon or substream; integral floats and numpy integers are the same call.
+    # horizon, lag, model order or substream; integral floats and numpy
+    # integers are the same call.
     k = fgn(0.7)
+    x = armle.simulate_series((0.3,), k, 20, 1)
     calls = {
         "n": [
             lambda v: armle.pacf_and_variances(k, v),
@@ -189,11 +191,13 @@ def test_length_and_seed_arguments_are_integers():
         "horizon": [lambda v: validate_kernel(k, v)],
         "seed": [lambda v: sample_noise(k, 4, v), lambda v: armle.substream(v)],
         "path": [lambda v: armle.substream(1, v)],
+        "lag": [lambda v: covariance(k, v)],
+        "p": [lambda v: armle.filter_observations(x, k, v)],
     }
     for name, fns in calls.items():
         for fn in fns:
             for bad in (2.9, 2.5, True, np.bool_(True), "3"):
-                with pytest.raises(ValueError, match=name):
+                with pytest.raises(ValueError, match=f"^{name} must be an integer"):
                     fn(bad)
     assert len(armle.pacf_and_variances(k, 3.0)[0]) == 3
     assert armle.kernel_rows(k, np.int32(3)).shape == (3, 3)
@@ -201,6 +205,9 @@ def test_length_and_seed_arguments_are_integers():
     assert validate_kernel(k, 5.0).horizon == 5
     a, b = armle.substream(1.0, np.int64(2)), armle.substream(1, 2)
     assert a.integers(1 << 30) == b.integers(1 << 30)
+    assert covariance(k, 2.0) == covariance(k, np.int64(2)) == covariance(k, 2)
+    for p in (2.0, np.int64(2)):
+        assert armle.filter_observations(x, k, p).w.shape == (20, 2)
 
 
 def test_noise_covariance_matches_kernel():
