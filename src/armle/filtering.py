@@ -37,7 +37,7 @@ import numpy as np
 
 from .ar import apply_ar
 from .exceptions import NotPositiveDefinite
-from .noise import CovarianceKernel, covariance
+from .noise import CovarianceKernel, _covariance
 from .rng import _integer
 
 #: Floor under which a one-step prediction variance (or the factor
@@ -77,7 +77,7 @@ def _stream(kernel: CovarianceKernel, n: int) -> Iterator[StreamStep]:
     sigma2 = 1.0
     yield StreamStep(1, row[:1], 0.0, sigma2)
     for m in range(2, n + 1):
-        rvals[m - 2] = covariance(kernel, m - 1)
+        rvals[m - 2] = _covariance(kernel, m - 1)
         beta = float(row[: m - 1] @ rvals[: m - 1]) / sigma2
         sigma2 = _check_positive(beta, sigma2, m)
         if m > 2:

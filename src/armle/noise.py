@@ -88,6 +88,11 @@ def covariance(kernel: CovarianceKernel, lag: int) -> float:
     k = rng._integer("lag", lag)
     if k < 0:
         raise ValueError("lag must be nonnegative")
+    return _covariance(kernel, k)
+
+
+def _covariance(kernel: CovarianceKernel, k: int) -> float:
+    """r(k) for an int k >= 0, unchecked: the filter walk's per-step entry."""
     if k == 0:
         return 1.0
     if kernel.family == "white":

@@ -127,24 +127,25 @@ def test_fisher_info_rejects_unstable():
 
 def test_apply_ar_matches_loop_oracle():
     gen = np.random.default_rng(3)
-    cases = [(theta, gen.standard_normal(40))
+    cases = [(theta, gen.standard_normal(40), 1e-13)
              for theta in [(0.5,), (0.5, 0.3), (0.4, 0.2, -0.3)] + REPEATED_ROOT_THETAS]
-    # A root pair of modulus 0.95 at p = 5 over a long path.
+    # A root pair of modulus 0.95 at p = 5 over a long path, where |x| grows
+    # large enough that rounding is judged against max |x|.
     roots = [0.95 * np.exp(0.3j), 0.95 * np.exp(-0.3j), 0.5, -0.4, 0.2]
-    cases.append((-np.real(np.poly(roots))[1:], gen.standard_normal(4000)))
+    xi = gen.standard_normal(4000)
+    theta = -np.real(np.poly(roots))[1:]
+    cases.append((theta, xi, 1e-13 * np.max(np.abs(ar_recursion(theta, xi)))))
     # Fewer observations than lags, a block of series, and an empty series.
-    cases.append(((0.4, 0.2, -0.3), gen.standard_normal(1)))
-    cases.append(((1.5, -0.75, 0.125), gen.standard_normal((16, 300))))
-    cases.append(((0.5,), np.empty(0)))
-    for theta, xi in cases:
+    cases.append(((0.4, 0.2, -0.3), gen.standard_normal(1), 1e-13))
+    cases.append(((1.5, -0.75, 0.125), gen.standard_normal((16, 300)), 1e-13))
+    cases.append(((0.5,), np.empty(0), 1e-13))
+    for theta, xi, atol in cases:
         x = apply_ar(theta, xi)
         assert x.shape == xi.shape
         for row, xi_row in zip(np.atleast_2d(x), np.atleast_2d(xi)):
             # A series in a block is filtered exactly as it is alone.
             np.testing.assert_array_equal(row, apply_ar(theta, xi_row))
-            expected = ar_recursion(theta, xi_row)
-            scale = np.max(np.abs(expected), initial=1.0)
-            np.testing.assert_allclose(row, expected, rtol=1e-13, atol=1e-13 * scale)
+            np.testing.assert_allclose(row, ar_recursion(theta, xi_row), rtol=1e-13, atol=atol)
 
 
 def test_apply_ar_zero_presample():
