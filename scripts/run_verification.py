@@ -12,9 +12,8 @@ about half of it in the clt config. The two fGn configs take about 0.05 s
 each: a run walks the Durbin-Levinson filter once and simulates its blocks
 by the state recursion.
 --jobs maps the blocks of replicates of each config (up to 64 replicates per
-block) over that many worker processes, which does not change any output. A
-config whose replicates fit in one block runs on one worker whatever --jobs
-says; both fGn configs are like that.
+block, and at least --jobs blocks where there are as many replicates) over
+that many worker processes, which does not change any output.
 """
 import argparse
 import json

@@ -346,9 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--out-dir", required=True,
                      help="directory for report.json, raw.csv, curves.csv")
     exp.add_argument("--jobs", type=_int_at_least(1), default=1,
-                     help="worker processes over blocks of up to 64 replicates "
-                          "(a config within one block runs on one); results "
-                          "independent of job count")
+                     help="worker processes over blocks of up to 64 replicates; "
+                          "results independent of job count")
     exp.set_defaults(func=_cmd_experiment)
 
     vk = sub.add_parser("validate-kernel", help="check a kernel's positive definiteness")

@@ -41,8 +41,8 @@ noise, a Durbin-Levinson walk otherwise. The raw.csv header is the keys of
 the first row.
 Failed replicates (singular Gram) are recorded, excluded from aggregates and
 counted; a report passes only when the failure rate stays within 1 percent.
-Aggregates are recomputable from the raw rows and are bit-identical under any
-replicate execution order.
+A replicate's row is the same in any block, so aggregates are recomputable
+from the raw rows and bit-identical under any partition and job count.
 """
 from __future__ import annotations
 
@@ -65,7 +65,7 @@ from .exceptions import Unstable
 from .filtering import pacf_and_variances
 from .inference import _solve_gram
 from .noise import CovarianceKernel, kernel_from_json, validate_kernel
-from .rng import _integer
+from .rng import _integer, _real
 from .state import _gram_moment, _markov_walk, _simulated_path
 
 #: A report passes when at most this fraction of raw rows failed.
@@ -179,14 +179,6 @@ def _list(name: str, v):
     return v
 
 
-def _real(name: str, v) -> float:
-    """``v`` as a float: an integer or a real number. Anything else, a bool or a
-    string included, raises ValueError naming the field."""
-    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{name} must be real, got {v!r}")
-    return float(v)
-
-
 @dataclass(eq=False)
 class ExperimentReport:
     """Outcome of one experiment run.
@@ -258,14 +250,14 @@ def _block_size(walk) -> int:
     a block steps the state recursion, one Python loop of n steps whatever
     the number of replicates, so a budget of 2**17 steps spreads that per-step
     cost over the block while bounding its memory: the time-major buffer of z
-    and w is at most (p + 1) MiB. Where they vanish (`_markov_walk`) no loop
-    is shared; a budget of 2**14 steps keeps each (R, n) array of a block
-    within 128 KiB, in cache and on the heap rather than in freshly mapped
-    pages, and the (R, n, p) score weights within 128 p KiB. The Gram at the
-    sample sizes is (R, len(sizes), p, p); only qsl and lil, which read it at
-    every k, hold an (R, n, p, p) Gram of up to 128 p**2 KiB. The walk depends
-    on the config alone, so the partition into blocks, and with it every
-    report, is the same for any job count.
+    and w, and the path copied from it, are at most (p + 1) MiB each. Where
+    they vanish (`_markov_walk`) no loop is shared; a budget of 2**14 steps
+    keeps each (R, n) array of a block within 128 KiB, in cache and on the
+    heap rather than in freshly mapped pages, and the (R, n, p) score weights
+    within 128 p KiB. The Gram at the sample sizes is (R, len(sizes), p, p);
+    only qsl and lil, which read it at every k, hold an (R, n, p, p) Gram of
+    up to 128 p**2 KiB. The size bounds memory and time per block only: a
+    replicate's row is the same in a block of any size.
     """
     steps = 2**14 if _markov_walk(walk[0]) else 2**17
     return min(64, max(1, steps // walk[0].size))
@@ -558,16 +550,17 @@ def run_experiment(
     """Run the configured experiment and return its report.
 
     Replicates run in blocks, each simulated at once from the run's one
-    filter walk; ``jobs > 1`` distributes the blocks over a process pool. The
-    partition into blocks depends on the config alone and rows are merged in
-    replicate order, so reports are identical for any job count.
+    filter walk; ``jobs > 1`` splits them into at least ``jobs`` blocks where
+    there are as many replicates and distributes the blocks over a process
+    pool. A replicate's row does not depend on its block and rows are merged
+    in replicate order, so reports are identical for any job count.
     """
     cfg.validate()
     t0 = time.perf_counter()
     reps = cfg.replicates
     # One walk to the largest size: every block and every size reads a prefix.
     walk = pacf_and_variances(cfg.kernel, max(cfg.sample_sizes))
-    size = _block_size(walk)
+    size = min(_block_size(walk), math.ceil(reps / jobs))
     blocks = [range(start, min(start + size, reps)) for start in range(0, reps, size)]
     tick = max(1, reps // 10)
     chunks: list[list[dict]] = []
@@ -597,9 +590,9 @@ def run_experiment(
 
 
 def _map_blocks(fn, blocks: list[range], jobs: int):
-    """Yield fn(block) in block order, in process or over a pool of ``jobs``."""
+    """Yield fn(block) in block order, in process or on up to ``jobs`` workers."""
     if jobs <= 1:
         yield from map(fn, blocks)
         return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(blocks))) as pool:
         yield from pool.map(fn, blocks)

@@ -133,9 +133,7 @@ def kernel_from_json(text: str | dict) -> CovarianceKernel:
     (name,) = _PARAMS[family]
     if name not in params:
         raise ValueError(f"{family} kernel needs params.{name}")
-    value = params[name]
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{family} kernel params.{name} must be a real number, got {value!r}")
+    value = rng._real(f"{family} kernel params.{name}", params[name])
     return ar1(value) if family == "ar1" else fgn(value)
 
 

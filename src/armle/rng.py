@@ -26,6 +26,14 @@ def _integer(name: str, v) -> int:
     return int(v)
 
 
+def _real(name: str, v) -> float:
+    """``v`` as a float: an integer or a real number. Anything else, a bool or a
+    string included, raises ValueError naming the argument."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be real, got {v!r}")
+    return float(v)
+
+
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Return the generator for the substream identified by ``path``.
 

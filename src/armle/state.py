@@ -48,8 +48,8 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 @dataclass(frozen=True, eq=False)
 class FilteredPath:
     """Filtered path of one series, or of a block of replicates along the
-    leading axes of ``z`` and ``w``. The state zeta_m is the derivation; the
-    path keeps its first entry Z_m[0] and the score weights w_m.
+    leading axes of ``z`` and ``w``, both C-contiguous. The state zeta_m is the
+    derivation; the path keeps its first entry Z_m[0] and the score weights w_m.
 
     Fields
     ------
@@ -160,7 +160,8 @@ def _simulated_path(theta, eps: np.ndarray, walk) -> FilteredPath:
             w[:, j + 1 :, j] = z[:, : n - j - 1]
         return FilteredPath(z=z, w=w, sigma2=sigma2)
     # Time-major: g[m] = (z_m, w_m) over the replicates. Row n holds the unused
-    # w_{n+1}; z and w of the path are views of the first n rows.
+    # w_{n+1}; the path copies the first n rows (C order, replicate-major), the
+    # layout of every path, so a replicate's Gram is the same BLAS call in any block.
     g = np.empty((n + 1, p + 1, reps))
     np.multiply(eps.T, np.sqrt(sigma2)[:, None], out=g[:n, 0])
     g[0, 1:] = 0.0
@@ -175,7 +176,7 @@ def _simulated_path(theta, eps: np.ndarray, walk) -> FilteredPath:
         add(state, carry_term, out=after)
         mul(state, b, out=carry_term)
         add(carry, carry_term, out=carry)
-    return FilteredPath(z=g[:n, 0].T, w=g[:n, 1:].transpose(2, 0, 1), sigma2=sigma2)
+    return FilteredPath(z=g[:n, 0].T.copy(), w=g[:n, 1:].transpose(2, 0, 1).copy(), sigma2=sigma2)
 
 
 # Sums that overflow give a non-finite Gram, which _solve_gram reads as singular

@@ -72,11 +72,38 @@ def test_score_arrays_match_public_route(kernel, theta):
         theta_hat, _, ok = _solve_gram(cum_gram[r, -1:], cum_mom[r, -1:])
         assert ok[0]
         np.testing.assert_allclose(theta_hat[0], armle.mle(path).theta_hat, rtol=1e-9)
-    # A replicate simulated alone is the same replicate inside the block, bit
-    # for bit: every step of the recursion is elementwise over the replicates.
-    alone = _simulated_path(theta, eps[3:4], armle.pacf_and_variances(kernel, n))
-    np.testing.assert_array_equal(alone.w[0], block.w[3])
-    np.testing.assert_array_equal(alone.z[0], block.z[3])
+
+
+_P5_THETA = tuple(-np.real(np.poly([0.9j, -0.9j, 0.6, -0.5, 0.3]))[1:])
+
+
+@pytest.mark.parametrize(
+    "kernel", [white(), ar1(0.5), fgn(0.7)], ids=lambda k: k.label()
+)
+@pytest.mark.parametrize("theta", [(0.3,), (0.5, 0.2), _P5_THETA], ids=len)
+def test_replicate_alone_is_its_row_in_a_block(kernel, theta):
+    # A replicate simulated alone is the same replicate inside a block, bit for
+    # bit: every step of the recursion is elementwise over the replicates, and
+    # the path has one layout for any block, so its Gram and moment, at the
+    # sample sizes and at every k, and its estimates are the same calls.
+    n, reps = 1000, 16
+    walk = armle.pacf_and_variances(kernel, n)
+    eps = np.stack([armle.standard_normals(armle.substream(5, r), n) for r in range(reps)])
+    block = _simulated_path(theta, eps, walk)
+    alone = [_simulated_path(theta, eps[r : r + 1], walk) for r in (0, 9)]
+    for r, path in zip((0, 9), alone):
+        np.testing.assert_array_equal(path.z[0], block.z[r])
+        np.testing.assert_array_equal(path.w[0], block.w[r])
+    for ends in ((40, 333, 1000), range(1, n + 1)):
+        gram, moment = _gram_moment(block, ends)
+        theta_hat, _, ok = _solve_gram(gram, moment)
+        for r, path in zip((0, 9), alone):
+            gram_r, moment_r = _gram_moment(path, ends)
+            theta_r, _, ok_r = _solve_gram(gram_r, moment_r)
+            np.testing.assert_array_equal(gram_r[0], gram[r])
+            np.testing.assert_array_equal(moment_r[0], moment[r])
+            np.testing.assert_array_equal(theta_r[0], theta_hat[r])
+            np.testing.assert_array_equal(ok_r[0], ok[r])
 
 
 @pytest.mark.parametrize("kernel", [ar1(0.5), fgn(0.7)], ids=lambda k: k.label())
@@ -231,6 +258,59 @@ def test_report_job_independent_across_blocks():
         got = other.to_json_dict()
         got.pop("runtime_seconds")
         assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+@pytest.mark.parametrize("kernel", [ar1(0.5), fgn(0.7)], ids=lambda k: k.label())
+def test_every_experiment_same_files_in_blocks_of_one(tmp_path, monkeypatch, kernel):
+    # A replicate's row does not depend on its block: blocks of one replicate
+    # write the same raw.csv and curves.csv as the default partition.
+    def files(name, partition):
+        cfg = _base_cfg(
+            experiment=name, kernel=kernel, theta=(0.4, 0.2),
+            sample_sizes=(60, 400), replicates=5, shift=(0.5, 0.5),
+        )
+        out = tmp_path / partition / name
+        run_experiment(cfg).write(out)
+        return [(out / f).read_bytes() for f in ("raw.csv", "curves.csv")]
+
+    default = {name: files(name, "default") for name in armle.EXPERIMENTS}
+    monkeypatch.setattr(experiments, "_block_size", lambda walk: 1)
+    for name in armle.EXPERIMENTS:
+        assert files(name, "ones") == default[name], name
+
+
+def test_jobs_split_a_config_of_one_default_block(monkeypatch):
+    # test_size_fgn07's 50 replicates fit in one default block; --jobs 2 maps
+    # them as two, and the rows are those of the one block.
+    path = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "test_size_fgn07.json"
+    cfg = ExperimentConfig.from_json_dict(json.loads(path.read_text()))
+    mapped = []
+    map_blocks = experiments._map_blocks
+
+    def in_process(fn, blocks, jobs):
+        mapped.append((list(blocks), jobs))
+        return map_blocks(fn, blocks, 1)
+
+    monkeypatch.setattr(experiments, "_map_blocks", in_process)
+    one = run_experiment(cfg, jobs=1)
+    two = run_experiment(cfg, jobs=2)
+    assert mapped[0] == ([range(50)], 1)
+    assert mapped[1] == ([range(25), range(25, 50)], 2)
+    assert two.rows == one.rows
+
+
+def test_pool_starts_one_worker_per_block(monkeypatch):
+    workers = []
+
+    class Recording(experiments.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kw):
+            workers.append(max_workers)
+            super().__init__(max_workers=max_workers, **kw)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recording)
+    assert list(experiments._map_blocks(len, [range(2), range(2, 5)], 4)) == [2, 3]
+    assert list(experiments._map_blocks(len, [range(4)], 3)) == [4]
+    assert workers == [2, 1]
 
 
 def test_aggregate_recomputable_from_rows():
