@@ -86,24 +86,20 @@ def test_replicate_alone_is_its_row_in_a_block(kernel, theta):
     # bit: every step of the recursion is elementwise over the replicates, and
     # the path has one layout for any block, so its Gram and moment, at the
     # sample sizes and at every k, and its estimates are the same calls.
+    def arrays(path, ends):
+        gram, moment = _gram_moment(path, ends)
+        return (path.z, path.w, gram, moment, *_solve_gram(gram, moment))
+
     n, reps = 1000, 16
     walk = armle.pacf_and_variances(kernel, n)
     eps = np.stack([armle.standard_normals(armle.substream(5, r), n) for r in range(reps)])
     block = _simulated_path(theta, eps, walk)
-    alone = [_simulated_path(theta, eps[r : r + 1], walk) for r in (0, 9)]
-    for r, path in zip((0, 9), alone):
-        np.testing.assert_array_equal(path.z[0], block.z[r])
-        np.testing.assert_array_equal(path.w[0], block.w[r])
     for ends in ((40, 333, 1000), range(1, n + 1)):
-        gram, moment = _gram_moment(block, ends)
-        theta_hat, _, ok = _solve_gram(gram, moment)
-        for r, path in zip((0, 9), alone):
-            gram_r, moment_r = _gram_moment(path, ends)
-            theta_r, _, ok_r = _solve_gram(gram_r, moment_r)
-            np.testing.assert_array_equal(gram_r[0], gram[r])
-            np.testing.assert_array_equal(moment_r[0], moment[r])
-            np.testing.assert_array_equal(theta_r[0], theta_hat[r])
-            np.testing.assert_array_equal(ok_r[0], ok[r])
+        in_block = arrays(block, ends)
+        for r in (0, 9):
+            alone = arrays(_simulated_path(theta, eps[r : r + 1], walk), ends)
+            for ours, theirs in zip(alone, in_block, strict=True):
+                np.testing.assert_array_equal(ours[0], theirs[r])
 
 
 @pytest.mark.parametrize("kernel", [ar1(0.5), fgn(0.7)], ids=lambda k: k.label())
