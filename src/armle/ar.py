@@ -61,17 +61,21 @@ def require_stable(theta) -> np.ndarray:
 
 
 def fisher_info(theta) -> np.ndarray:
-    """Asymptotic information matrix I(theta), the solution of
-    I = A^T I A + b b^T with b the first canonical basis vector.
+    """Asymptotic information matrix I(theta), the limit of Gram / n: the
+    stationary covariance of the lag vector (X_m, ..., X_{m-p+1}) under unit
+    innovations, the solution of I = A I A^T + b b^T with b the first
+    canonical basis vector, i.e. the Toeplitz matrix of the autocovariances
+    gamma(0..p-1).
 
     Solved directly (Kronecker linear system via the discrete Lyapunov solver)
-    and symmetrized. For p = 1 this is 1 / (1 - theta**2).
+    and symmetrized. For p = 1 this is 1 / (1 - theta**2); at theta = 0 it is
+    the identity.
     """
     th = require_stable(theta)
     a = companion(th)
     b = np.zeros(th.size)
     b[0] = 1.0
-    info = scipy.linalg.solve_discrete_lyapunov(a.T, np.outer(b, b))
+    info = scipy.linalg.solve_discrete_lyapunov(a, np.outer(b, b))
     return 0.5 * (info + info.T)
 
 

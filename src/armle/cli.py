@@ -264,7 +264,10 @@ def _cmd_experiment(args) -> int:
         raise _CliError(3, f"{args.config!r}: {exc}") from exc
     _echo_config(args, config=cfg.to_json_dict())
     progress = None if _quiet() else lambda line: print(line, file=sys.stderr)
-    report = run_experiment(cfg, jobs=args.jobs, progress=progress)
+    try:
+        report = run_experiment(cfg, jobs=args.jobs, progress=progress)
+    except NotPositiveDefinite as exc:  # the run's one walk is the kernel's check
+        raise _CliError(4, f"{args.config!r}: {exc}") from exc
     report.write(args.out_dir)
     _emit_json(report.to_json_dict(), "-")
     return 0

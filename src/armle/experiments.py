@@ -64,7 +64,7 @@ from .ar import fisher_info, fisher_info_inverse, require_stable
 from .exceptions import Unstable
 from .filtering import pacf_and_variances
 from .inference import _solve_gram
-from .noise import CovarianceKernel, kernel_from_json, validate_kernel
+from .noise import CovarianceKernel, kernel_from_json
 from .rng import _integer, _real
 from .state import _gram_moment, _markov_walk, _simulated_path
 
@@ -143,8 +143,6 @@ class ExperimentConfig:
                 raise ValueError("lil needs sample sizes of at least 16")
             if self.direction is not None and len(self.direction) != self.p:
                 raise ValueError("direction must have the same length as theta")
-        # Cheap early positive-definiteness check of the kernel.
-        validate_kernel(self.kernel, min(200, max(self.sample_sizes)))
 
     def to_json_dict(self) -> dict:
         """Fields in declaration order, tuples as lists, unset options left out."""
@@ -553,7 +551,9 @@ def run_experiment(
     filter walk; ``jobs > 1`` splits them into at least ``jobs`` blocks where
     there are as many replicates and distributes the blocks over a process
     pool. A replicate's row does not depend on its block and rows are merged
-    in replicate order, so reports are identical for any job count.
+    in replicate order, so reports are identical for any job count. The walk
+    is also the kernel's check: where the filter breaks down before the
+    largest size it raises NotPositiveDefinite, before any replicate runs.
     """
     cfg.validate()
     t0 = time.perf_counter()

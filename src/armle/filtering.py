@@ -13,25 +13,25 @@ variances sigma_n**2 of the best linear predictor:
 The whitened innovations of a path xi are
 ``eps_n = sum_{i<=n} k(n, i) xi_i / sigma_n``.
 
-Everything is O(n) memory in streaming form; materializing all rows
-(`kernel_rows`) costs O(n^2).
+`_levinson` is the one loop of the recursion. It keeps two row buffers, O(n)
+memory, and may apply each row to one series as it goes; materializing all
+rows (`kernel_rows`) costs O(n^2).
 
-The stream depends on the kernel and n only, never on data, and its first m
-steps do not depend on n either. Its scalar part, the walk
-(beta_1..beta_n, sigma_1**2..sigma_n**2) of `pacf_and_variances`, is the one
-description of a kernel's filter: the Markov kernels (white, ar1) give it in
-closed form (`_markov`), and the Monte Carlo harness reads nothing else, once
-per run (`state._simulated_path`). The library filters one series:
+The walk (beta_1..beta_n, sigma_1**2..sigma_n**2) of `pacf_and_variances`
+depends on the kernel and n only, never on data, and its first m steps do
+not depend on n either. It is the one description of a kernel's filter: the
+Markov kernels (white, ar1) give it in closed form (`_markov`), the Monte
+Carlo harness reads nothing else, once per run (`state._simulated_path`), and
+`kernel_rows` rebuilds the rows from it. The library filters one series:
 `_generate` (for `noise_from_innovations`) and `_whiten` (for
-`filter_observations`) read beta_1 and sigma**2 of a Markov walk, or apply
-the stream's rows. `_whiten` whitens the series alone, one dot product per
-step: lag j + 1 of the whitened state Z_m is lag j of the score weight w_m, so
-`state._filtered_path` derives the lags.
+`filter_observations`) read beta_1 and sigma**2 of a Markov walk, or make one
+`_levinson` call that applies the rows. `_whiten` whitens the series alone,
+one dot product per step: lag j + 1 of the whitened state Z_m is lag j of the
+score weight w_m, so `state._filtered_path` derives the lags.
 """
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -45,20 +45,6 @@ from .rng import _integer
 VARIANCE_FLOOR = 1e-12
 
 
-class StreamStep(NamedTuple):
-    """One step of the streaming filter.
-
-    ``row`` is a live view into an internal buffer, valid only until the next
-    step is consumed; copy it if it must survive. ``beta_prev`` is beta_{m-1}
-    (zero at the first step by convention).
-    """
-
-    index: int
-    row: np.ndarray
-    beta_prev: float
-    sigma2: float
-
-
 def _check_positive(beta: float, sigma2: float, step: int) -> float:
     gap = 1.0 - beta * beta
     new_sigma2 = sigma2 * gap
@@ -67,27 +53,36 @@ def _check_positive(beta: float, sigma2: float, step: int) -> float:
     return new_sigma2
 
 
-def _stream(kernel: CovarianceKernel, n: int) -> Iterator[StreamStep]:
-    """Yield filter steps 1..n with O(n) memory (two row buffers, alternating)."""
-    if n < 1:
-        return
+def _levinson(kernel: CovarianceKernel, n: int, x=None, eps=None):
+    """Walk the recursion n >= 1 steps: (beta_1..beta_{n-1}, sigma_1**2..sigma_n**2, out).
+
+    Two row buffers alternate, so memory is O(n). Given ``x``, ``out`` is the
+    whitened series z_m = sum_{i<=m} k(m, i) x_i; given ``eps``, it is the path
+    xi_m = sigma_m * eps_m - sum_{i<m} k(m, i) xi_i; otherwise None.
+    """
+    r = np.array([_covariance(kernel, k) for k in range(1, n)])
+    beta, sigma2 = np.empty(n - 1), np.empty(n)
+    out = None if x is None and eps is None else np.empty(n)
     row, spare = np.empty((2, n))
-    row[0] = 1.0
-    rvals = np.empty(max(n - 1, 1))
-    sigma2 = 1.0
-    yield StreamStep(1, row[:1], 0.0, sigma2)
-    for m in range(2, n + 1):
-        rvals[m - 2] = _covariance(kernel, m - 1)
-        beta = float(row[: m - 1] @ rvals[: m - 1]) / sigma2
-        sigma2 = _check_positive(beta, sigma2, m)
-        if m > 2:
-            body = spare[1 : m - 1]
-            np.multiply(row[m - 3 :: -1], beta, out=body)
-            np.subtract(row[: m - 2], body, out=body)
-        row, spare = spare, row
+    s2 = 1.0
+    for m in range(1, n + 1):
+        if m > 1:
+            b = float(row[: m - 1] @ r[: m - 1]) / s2
+            s2 = _check_positive(b, s2, m)
+            beta[m - 2] = b
+            if m > 2:
+                body = spare[1 : m - 1]
+                np.multiply(row[m - 3 :: -1], b, out=body)
+                np.subtract(row[: m - 2], body, out=body)
+            row, spare = spare, row
+            row[0] = -b
         row[m - 1] = 1.0
-        row[0] = -beta
-        yield StreamStep(m, row[:m], beta, sigma2)
+        sigma2[m - 1] = s2
+        if x is not None:
+            out[m - 1] = row[:m] @ x[:m]
+        elif eps is not None:
+            out[m - 1] = math.sqrt(s2) * eps[m - 1] - row[: m - 1] @ out[: m - 1]
+    return beta, sigma2, out
 
 
 def _markov(kernel: CovarianceKernel, n: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -112,54 +107,46 @@ def _generate(kernel: CovarianceKernel, eps: np.ndarray) -> np.ndarray:
 
     Inverts the whitening map, xi_m = sigma_m * eps_m - sum_{i<m} k(m, i) * xi_i.
     """
-    n = eps.size
-    walk = _markov(kernel, n)
+    walk = _markov(kernel, eps.size)
     if walk is not None:
         beta, sigma2 = walk
         return apply_ar(beta[:1], np.sqrt(sigma2) * eps)
-    xi = np.empty(n)
-    for step in _stream(kernel, n):
-        i = step.index - 1
-        xi[i] = math.sqrt(step.sigma2) * eps[i] - step.row[:i] @ xi[:i]
-    return xi
+    return _levinson(kernel, eps.size, eps=eps)[2]
 
 
 def _whiten(kernel: CovarianceKernel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Whiten one series x_1..x_n.
 
-    Returns (z, beta, sigma2): ``z[m-1] = sum_{i<=m} k(m, i) x_i``,
-    beta_1..beta_{n-1} and sigma_1**2..sigma_n**2.
+    Returns (beta, sigma2, z) as `_levinson` does: beta_1..beta_{n-1},
+    sigma_1**2..sigma_n**2 and ``z[m-1] = sum_{i<=m} k(m, i) x_i``.
     """
-    n = x.size
-    walk = _markov(kernel, n)
-    if walk is not None:
-        beta, sigma2 = walk
-        z = x.copy()
-        z[1:] -= beta[0] * x[:-1]
-        return z, beta[:-1], sigma2
-    z = np.empty(n)
-    pacf = np.empty(n)  # pacf[m - 1] = beta_{m-1}, pacf[0] = 0
-    sigma2 = np.empty(n)
-    for step in _stream(kernel, n):
-        m = step.index
-        sigma2[m - 1] = step.sigma2
-        pacf[m - 1] = step.beta_prev
-        z[m - 1] = step.row @ x[:m]
-    return z, pacf[1:], sigma2
+    walk = _markov(kernel, x.size)
+    if walk is None:
+        return _levinson(kernel, x.size, x=x)
+    beta, sigma2 = walk
+    z = x.copy()
+    z[1:] -= beta[0] * x[:-1]
+    return beta[:-1], sigma2, z
 
 
 def kernel_rows(kernel: CovarianceKernel, n: int) -> np.ndarray:
     """All whitening rows up to ``n`` as a lower-triangular (n, n) array.
 
     ``rows[m-1, i-1] = k(m, i)`` for 1 <= i <= m <= n; zeros above the diagonal.
+    Built from the walk alone: row m + 1 is row m and its reverse, mixed by beta_m.
     """
     n = _integer("n", n)
     if n < 1:
         raise ValueError("n must be at least 1")
-    out = np.zeros((n, n))
-    for step in _stream(kernel, n):
-        out[step.index - 1, : step.index] = step.row
-    return out
+    walk = _markov(kernel, n)
+    beta = _levinson(kernel, n)[0] if walk is None else walk[0][:-1]
+    rows = np.zeros((n, n))
+    rows[0, 0] = 1.0
+    for m, b in enumerate(beta.tolist(), start=1):
+        prev, row = rows[m - 1, :m], rows[m, : m + 1]
+        row[1:m] = prev[:-1] - prev[::-1][1:] * b
+        row[0], row[m] = -b, 1.0
+    return rows
 
 
 def pacf_and_variances(kernel: CovarianceKernel, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -167,7 +154,7 @@ def pacf_and_variances(kernel: CovarianceKernel, n: int) -> tuple[np.ndarray, np
 
     The Monte Carlo harness reads a run's walk and nothing else of the filter;
     `armle filter` dumps it. White and ar1 give their closed form (`_markov`)
-    without the O(n**2) stream.
+    without the O(n**2) recursion.
     """
     n = _integer("n", n)
     if n < 1:
@@ -175,11 +162,5 @@ def pacf_and_variances(kernel: CovarianceKernel, n: int) -> tuple[np.ndarray, np
     walk = _markov(kernel, n)
     if walk is not None:
         return walk
-    beta = np.empty(n)
-    sigma2 = np.empty(n)
-    for step in _stream(kernel, n + 1):
-        if step.index >= 2:
-            beta[step.index - 2] = step.beta_prev
-        if step.index <= n:
-            sigma2[step.index - 1] = step.sigma2
-    return beta, sigma2
+    beta, sigma2, _ = _levinson(kernel, n + 1)
+    return beta, sigma2[:n]

@@ -113,7 +113,7 @@ def _filtered_path(kernel: CovarianceKernel, x: np.ndarray, p: int) -> FilteredP
     before, with the carry c_m = sum_{i<m} beta_i u_i (c_1 = 0, W(u)_1 = 0),
     starting from u = z.
     """
-    z, beta, sigma2 = _whiten(kernel, x)
+    beta, sigma2, z = _whiten(kernel, x)
     w = np.zeros((z.size, p))
     carry = np.zeros_like(z)
     u = z

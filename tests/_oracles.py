@@ -2,10 +2,10 @@
 
 Everything here deliberately avoids the package's own recursions: whitening
 rows come from dense Toeplitz solves, variances from Cholesky, the Fisher
-matrix from a truncated series, likelihoods from the full multivariate
-normal density, AR recursions from plain Python loops, the filtered state
-from dense whitening rows, and the state transition matrix from its block
-layout.
+matrix from the autocovariances of a truncated impulse response, likelihoods
+from the full multivariate normal density, AR recursions from plain Python
+loops, the filtered state from dense whitening rows, and the state
+transition matrix from its block layout.
 """
 from typing import NamedTuple
 
@@ -104,21 +104,14 @@ def transition(theta, pacf_value):
 
 
 def series_fisher(theta, terms=500):
-    """Truncated series sum_k (A^T)^k b b^T A^k for the Lyapunov fixed point."""
+    """Toeplitz(gamma(0..p-1)), the stationary covariance of the lag vector of
+    AR(theta) with unit innovations: gamma(k) = sum_j psi_j psi_{j+k} over the
+    first ``terms`` of the impulse response psi, run through `ar_recursion`."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    p = theta.size
-    a = np.zeros((p, p))
-    a[0] = theta
-    if p > 1:
-        a[np.arange(1, p), np.arange(p - 1)] = 1.0
-    b = np.zeros(p)
-    b[0] = 1.0
-    term = np.outer(b, b)
-    total = term.copy()
-    for _ in range(terms - 1):
-        term = a.T @ term @ a
-        total += term
-    return total
+    impulse = np.zeros(terms)
+    impulse[0] = 1.0
+    psi = ar_recursion(theta, impulse)
+    return scipy.linalg.toeplitz([psi[: terms - k] @ psi[k:] for k in range(theta.size)])
 
 
 def ar_recursion(theta, xi):

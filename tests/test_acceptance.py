@@ -169,7 +169,7 @@ def test_lyapunov_fisher(capsys):
         a = companion(theta)
         b = np.zeros((p, 1))
         b[0, 0] = 1.0
-        res = info - a.T @ info @ a - b @ b.T
+        res = info - a @ info @ a.T - b @ b.T
         residual = max(residual, float(np.max(np.abs(res))))
     runtime = time.perf_counter() - t0
     ok = (

@@ -108,10 +108,17 @@ def test_fisher_info_fixed_point_residual():
         a = companion(theta)
         b = np.zeros(p)
         b[0] = 1.0
-        resid = info - (a.T @ info @ a + np.outer(b, b))
+        resid = info - (a @ info @ a.T + np.outer(b, b))
         assert np.linalg.norm(resid, 2) <= 1e-10
         np.testing.assert_allclose(info, info.T, atol=1e-14)
         assert np.all(np.linalg.eigvalsh(info) > 0)
+
+
+def test_fisher_info_at_zero_is_the_identity():
+    # At theta = 0 the lag vector holds p white innovations.
+    for p in range(1, 6):
+        np.testing.assert_array_equal(fisher_info((0.0,) * p), np.eye(p))
+        np.testing.assert_array_equal(fisher_info_inverse((0.0,) * p), np.eye(p))
 
 
 def test_fisher_info_inverse():

@@ -531,6 +531,24 @@ def test_experiment_config_errors(tmp_path, capsys):
         assert not out_dir.exists()
 
 
+def test_experiment_filter_breakdown_exits_4(tmp_path, capsys, monkeypatch):
+    # No separate kernel check runs: the run's one walk, to the largest size,
+    # breaks down at step 2, after the config echo, and is reported in one
+    # line naming the config.
+    monkeypatch.delenv("ARMLE_QUIET")
+    near_unit_root = {"family": "ar1", "params": {"a": 1.0 - 1e-13}}
+    cfg = _experiment_config(tmp_path, kernel=near_unit_root)
+    for jobs in ("1", "2"):
+        out_dir = tmp_path / f"out_{jobs}"
+        argv = ["experiment", "--config", str(cfg), "--out-dir", str(out_dir), "--jobs", jobs]
+        assert main(argv) == 4
+        echo, error = capsys.readouterr().err.splitlines()
+        assert echo.startswith("config: ")
+        assert error.startswith(f"armle: error: {str(cfg)!r}: ")
+        assert "at step 2" in error
+        assert not out_dir.exists()
+
+
 def _echo(capsys) -> dict:
     line = capsys.readouterr().err.split("\n")[0]
     assert line.startswith("config: ")

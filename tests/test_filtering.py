@@ -4,14 +4,17 @@ import scipy.linalg
 
 import armle
 from armle import (
+    ExperimentConfig,
     NotPositiveDefinite,
     ar1,
     fgn,
     filter_observations,
     kernel_rows,
     pacf_and_variances,
+    run_experiment,
     white,
 )
+from armle import filtering
 
 from _oracles import cholesky_sigmas, dense_covariance, dense_whitening
 
@@ -38,12 +41,49 @@ def test_ar1_closed_form():
         np.testing.assert_array_equal(beta[1:], 0.0)
         assert sigma2[0] == 1.0
         np.testing.assert_allclose(sigma2[1:], 1.0 - a * a, rtol=1e-14)
-    rows = kernel_rows(ar1(0.5), 6)
-    for m in range(2, 7):
-        expected = np.zeros(m)
-        expected[-1] = 1.0
-        expected[-2] = -0.5
-        np.testing.assert_allclose(rows[m - 1, :m], expected, atol=1e-14)
+        # kernel_rows builds the rows from the closed-form walk, so they are
+        # (0, ..., 0, -a, 1) exactly.
+        rows = kernel_rows(ar1(a), 6)
+        for m in range(2, 7):
+            expected = np.zeros(m)
+            expected[-1] = 1.0
+            expected[-2] = -a
+            np.testing.assert_array_equal(rows[m - 1, :m], expected)
+
+
+@pytest.mark.parametrize("hurst", [0.3, 0.7])
+def test_kernel_rows_are_the_rows_the_walk_applies(hurst):
+    # The rows rebuilt from beta alone whiten a series bit for bit as the
+    # walk's own rows do.
+    n = 300
+    x = armle.standard_normals(armle.substream(9), n)
+    rows = kernel_rows(fgn(hurst), n)
+    z = filter_observations(x, fgn(hurst), 1).z
+    for m in range(1, n + 1):
+        assert rows[m - 1, :m] @ x[:m] == z[m - 1]
+
+
+def test_one_walk_per_run_and_per_series(monkeypatch):
+    # A Monte Carlo run walks once, to its largest sample size, whatever its
+    # number of blocks and simulations; one series is whitened by one walk.
+    sizes = []
+    walk = filtering._levinson
+
+    def counted(kernel, n, **series):
+        sizes.append(n)
+        return walk(kernel, n, **series)
+
+    monkeypatch.setattr(filtering, "_levinson", counted)
+    for experiment in ("consistency", "test_power"):
+        cfg = ExperimentConfig(
+            experiment=experiment, theta=(0.3, -0.2), kernel=fgn(0.7), sample_sizes=(50, 120),
+            replicates=5, seed=3, shift=(1.0, 0.5),
+        )
+        run_experiment(cfg)
+        assert sizes == [121]
+        sizes.clear()
+    filter_observations(np.linspace(-1.0, 1.0, 80), fgn(0.3), 3)
+    assert sizes == [80]
 
 
 @pytest.mark.parametrize("hurst", [0.05, 0.3, 0.7, 0.95])
@@ -93,9 +133,10 @@ def test_filter_state_invariants():
 def test_near_unit_root_kernel_degenerates():
     # a so close to one that 1 - beta_1^2 falls under the variance floor.
     bad = ar1(1.0 - 1e-13)
-    with pytest.raises(NotPositiveDefinite) as err:
-        pacf_and_variances(bad, 5)
-    assert err.value.step == 2
+    for walk in (pacf_and_variances, kernel_rows):
+        with pytest.raises(NotPositiveDefinite) as err:
+            walk(bad, 5)
+        assert err.value.step == 2
 
 
 def test_whiten_white_noise_is_identity():

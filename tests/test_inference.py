@@ -192,7 +192,9 @@ def _predicted_power(p, alpha, shift):
 
 
 def test_noncentral_chi2_sf_matches_scipy():
-    # At theta = 0 the information is the identity, so lambda = |shift|^2.
+    # At theta = 0 the information is the identity in every coordinate
+    # (test_ar.py::test_fisher_info_at_zero_is_the_identity), so lambda =
+    # |shift|^2 for a shift in any direction; this one lies along the first.
     for p in (1, 2, 4):
         for lam in (0.0, 0.5, 4.0, 12.0):
             for alpha in (0.2, 0.05, 0.01):
