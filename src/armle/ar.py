@@ -9,7 +9,6 @@ lie inside the open unit disk.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import Unstable
 from .noise import CovarianceKernel, sample_noise
@@ -71,6 +70,9 @@ def fisher_info(theta) -> np.ndarray:
     and symmetrized. For p = 1 this is 1 / (1 - theta**2); at theta = 0 it is
     the identity.
     """
+    # Lazy: estimate and test load no scipy.linalg (guard: test_cli::test_lazy_scipy_imports).
+    import scipy.linalg
+
     th = require_stable(theta)
     a = companion(th)
     b = np.zeros(th.size)
@@ -81,6 +83,8 @@ def fisher_info(theta) -> np.ndarray:
 
 def fisher_info_inverse(theta) -> np.ndarray:
     """Inverse of the information matrix via its Cholesky factorization."""
+    import scipy.linalg
+
     info = fisher_info(theta)
     cho = scipy.linalg.cho_factor(info)
     inv = scipy.linalg.cho_solve(cho, np.eye(info.shape[0]))
@@ -90,6 +94,8 @@ def fisher_info_inverse(theta) -> np.ndarray:
 def apply_ar(theta, xi) -> np.ndarray:
     """Run the AR recursion from a zero pre-sample along the last axis of xi: the unit
     lower band system with band (1, -theta), solved per series by LAPACK tbtrs."""
+    import scipy.linalg
+
     th = as_theta(theta)
     xi = np.ascontiguousarray(xi, dtype=float)
     if xi.size == 0:

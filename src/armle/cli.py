@@ -134,19 +134,27 @@ def _emit_json(obj: dict, out: str) -> None:
 def _read_series(path: str) -> np.ndarray:
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or "x" not in reader.fieldnames:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            if "x" not in header:
                 raise _CliError(3, f"{path!r}: input CSV must have a column named 'x'")
+            if header.count("x") > 1:
+                raise _CliError(3, f"{path!r}: input CSV names the column 'x' more than once")
+            col = header.index("x")
             values = []
-            for line, row in enumerate(reader, start=2):
-                cell = row.get("x")
-                if cell is None or cell == "":
-                    raise _CliError(3, f"{path!r}:{line}: missing value in column 'x'")
+            for row in reader:
+                if not row:  # a blank line
+                    continue
+                cell = row[col] if col < len(row) else ""
+                if cell == "":
+                    raise _CliError(
+                        3, f"{path!r}:{reader.line_num}: missing value in column 'x'"
+                    )
                 try:
                     values.append(float(cell))
                 except ValueError:
                     raise _CliError(
-                        3, f"{path!r}:{line}: cannot parse {cell!r} as a real"
+                        3, f"{path!r}:{reader.line_num}: cannot parse {cell!r} as a real"
                     ) from None
     except OSError as exc:
         raise _CliError(3, f"cannot read {path!r}: {exc}") from exc

@@ -50,14 +50,12 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from itertools import chain
 from typing import Callable
 
 import numpy as np
-from scipy.special import chdtri, chndtr
 
 from . import rng
 from .ar import fisher_info, fisher_info_inverse, require_stable
@@ -347,6 +345,8 @@ def _cols_clt(cfg: ExperimentConfig, sizes, gram, theta_hat, solved):
 
 def _cols_test(cfg: ExperimentConfig, sizes, gram, theta_hat, solved):
     """LR statistic d^T gram d against the null theta, d = theta_hat - theta."""
+    from scipy.special import chdtri  # lazy (guard: test_cli::test_lazy_scipy_imports)
+
     d = theta_hat - cfg.theta
     stat = np.maximum(_quad(d, gram, d), 0.0)
     reject = (stat >= chdtri(cfg.p, cfg.alpha)).astype(int)
@@ -505,6 +505,8 @@ def _agg_lan_remainder(cfg, good):
 
 
 def _agg_test(cfg, good):
+    from scipy.special import chdtri, chndtr
+
     crit = float(chdtri(cfg.p, cfg.alpha))
     per_n = _per_n(
         good, "reject", rejection_rate=np.mean,
@@ -594,5 +596,9 @@ def _map_blocks(fn, blocks: list[range], jobs: int):
     if jobs <= 1:
         yield from map(fn, blocks)
         return
+    # Lazy: the pool's modules cost ~14 ms to import, which --jobs 1 never pays
+    # (guard: test_cli::test_lazy_scipy_imports).
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(blocks))) as pool:
         yield from pool.map(fn, blocks)

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc, chdtri
 
 from .ar import as_theta, fisher_info, require_stable
 from .exceptions import SingularGram
@@ -123,6 +122,9 @@ def lr_test(path: FilteredPath, theta0, alpha: float) -> TestResult:
     Rejects when the statistic reaches the upper-alpha chi-square quantile
     with p degrees of freedom.
     """
+    # Lazy: `import armle` loads no scipy (guard: test_cli::test_lazy_scipy_imports).
+    from scipy.special import chdtrc, chdtri
+
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     stat, th0, est = _lr(path, theta0)

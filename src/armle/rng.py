@@ -5,16 +5,16 @@ The substream for index path ``(i, j, ...)`` under root seed ``s`` is the
 generator seeded by ``SeedSequence(s, spawn_key=(i, j, ...))``, so draws are a
 pure function of ``(seed, path)`` and replicates can be computed in any order.
 
-Standard normal variates are produced by inversion: uniforms are built from
-53-bit integers (offset by one half, so they live strictly inside (0, 1)) and
-mapped through the standard normal quantile function ``scipy.special.ndtri``.
+Standard normal variates are produced by inversion: the uniforms
+(k + 0.5) / 2**53, for the 53-bit integer k of each draw, lie strictly inside
+(0, 1) and are mapped through the standard normal quantile function
+``scipy.special.ndtri``. They are computed as ``Generator.random() + 2**-54``:
+``random`` returns k * 2**-53 for the same k as ``Generator.integers(0, 2**53)``,
+and scaling by a power of two is exact.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
-
-_U53 = 1 << 53
 
 
 def _integer(name: str, v) -> int:
@@ -57,5 +57,9 @@ def substream(seed: int, *path: int) -> np.random.Generator:
 
 def standard_normals(gen: np.random.Generator, size: int) -> np.ndarray:
     """Draw i.i.d. N(0, 1) variates by inversion from 53-bit uniforms."""
-    u = (gen.integers(0, _U53, size=size, dtype=np.int64) + 0.5) / _U53
-    return ndtri(u)
+    # Lazy: `import armle` loads no scipy (guard: test_cli::test_lazy_scipy_imports).
+    from scipy.special import ndtri
+
+    u = gen.random(size)
+    u += 2.0**-54
+    return ndtri(u, out=u)

@@ -446,6 +446,38 @@ def test_data_errors_exit_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # The line number counts blank lines, so it names the bad cell's line.
+        ("t,x\n1,0.5\n\n\n2,oops\n", ":5: cannot parse 'oops' as a real"),
+        ("t,x\n1,0.5\n2\n", ":3: missing value in column 'x'"),
+        ("x,t,x\n1,2,3\n", "names the column 'x' more than once"),
+    ],
+    ids=["bad-cell-after-blank-lines", "short-row", "duplicate-x"],
+)
+def test_csv_errors_name_line_and_column(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    capsys.readouterr()
+    assert main(["estimate", "--in", str(bad), "--p", "1", "--kernel", WHITE_KERNEL]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("armle: error: ") and message in err, err
+
+
+def test_csv_blank_lines_are_skipped(tmp_path, capsys):
+    outs = []
+    for name, text in [("plain.csv", "t,x\n1,0.5\n2,-0.25\n3,1.0\n"),
+                       ("blank.csv", "t,x\n\n1,0.5\n\n2,-0.25\n3,1.0\n\n")]:
+        path = tmp_path / name
+        path.write_text(text)
+        capsys.readouterr()
+        assert main(["estimate", "--in", str(path), "--p", "1", "--kernel", WHITE_KERNEL]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["n"] == 3
+
+
 def test_short_series_exits_3(tmp_path, capsys):
     short = tmp_path / "short.csv"
     short.write_text("t,x\n1,0.4\n2,0.1\n")
@@ -665,43 +697,66 @@ _SCIPY_LOADED = (
 )
 
 
-def test_lazy_scipy_imports(tmp_path):
-    """simulate, estimate, test, lan, filter and validate-kernel leave scipy.signal and
-    scipy.stats unloaded, and so do apply_ar and the test experiments; the clt
-    aggregate imports scipy.stats on first use."""
-    fgn = '{"family": "fgn", "params": {"H": 0.7}}'
-    white = '{"family": "white", "params": {}}'
-    series = _simulate_file(tmp_path, "fgn.csv", (0.4, -0.2), fgn, 300, 3)
-    fit = _SCIPY_LOADED + (
-        "import json\n"
-        "import armle\n"
-        "loaded = [['import armle', slow_scipy()]]\n"
-        "from armle.cli import main\n"
-        "loaded.append(['import armle.cli', slow_scipy()])\n"
-        f"args = ['--in', {str(series)!r}, '--kernel', {fgn!r}]\n"
-        "for argv in (\n"
-        f"    ['simulate', '--theta', '0.4,-0.2', '--kernel', {white!r}, '--n', '50',\n"
-        f"     '--out', {str(tmp_path / 'white.csv')!r}],\n"
-        f"    ['simulate', '--theta', '0.4,-0.2', '--kernel', {fgn!r}, '--n', '50',\n"
-        f"     '--out', {str(tmp_path / 'fgn_out.csv')!r}],\n"
-        "    ['estimate', '--p', '2'] + args,\n"
-        "    ['test', '--theta0', '0.4,-0.2'] + args,\n"
-        "    ['lan', '--theta0', '0.4,-0.2', '--u', '1.0,0.5'] + args,\n"
-        f"    ['filter', '--kernel', {fgn!r}, '--n', '50'],\n"
-        f"    ['validate-kernel', '--kernel', {fgn!r}],\n"
-        "):\n"
-        "    assert main(argv) == 0, argv\n"
-        "    loaded.append([argv[0], slow_scipy()])\n"
-        "print(json.dumps(loaded))\n"
+def _loaded_after(code: str) -> set[str]:
+    """Modules under scipy, and the process pool's module, that a fresh
+    interpreter holds after running ``code``."""
+    script = code + (
+        "\nimport json, sys\n"
+        "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+        "                  or m == 'concurrent.futures.process']))\n"
     )
     child = subprocess.run(
-        [sys.executable, "-c", fit], capture_output=True, text=True, env=CHILD_ENV
+        [sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV
     )
     assert child.returncode == 0, child.stderr
-    loaded = json.loads(child.stdout.splitlines()[-1])
-    names = ["import armle", "import armle.cli", "simulate", "simulate", "estimate", "test",
-             "lan", "filter", "validate-kernel"]
-    assert loaded == [[name, []] for name in names]
+    return set(json.loads(child.stdout.splitlines()[-1]))
+
+
+def test_lazy_scipy_imports(tmp_path):
+    """Each command, in a fresh interpreter, loads only the scipy it calls.
+    `import armle` and `import armle.cli` load no scipy and no process pool;
+    estimate, filter and validate-kernel load no scipy; test loads scipy.special
+    but not scipy.linalg; no command loads scipy.signal or scipy.stats; and
+    `experiment --jobs 1` starts no pool. apply_ar and the test experiments leave
+    scipy.signal and scipy.stats unloaded; the clt aggregate imports scipy.stats
+    on first use."""
+    fgn = '{"family": "fgn", "params": {"H": 0.7}}'
+    white = '{"family": "white", "params": {}}'
+    series = str(_simulate_file(tmp_path, "fgn.csv", (0.4, -0.2), fgn, 300, 3))
+    config = str(_experiment_config(tmp_path, experiment="test_size", replicates=4))
+    out = ["--out", str(tmp_path / "out")]
+    argvs = {
+        "simulate white": ["simulate", "--theta", "0.4,-0.2", "--kernel", white,
+                           "--n", "50"] + out,
+        "simulate fgn": ["simulate", "--theta", "0.4,-0.2", "--kernel", fgn, "--n", "50"] + out,
+        "estimate white": ["estimate", "--p", "2", "--in", series, "--kernel", white] + out,
+        "estimate fgn": ["estimate", "--p", "2", "--in", series, "--kernel", fgn] + out,
+        "test": ["test", "--theta0", "0.4,-0.2", "--in", series, "--kernel", fgn] + out,
+        "lan": ["lan", "--theta0", "0.4,-0.2", "--u", "1.0,0.5", "--in", series,
+                "--kernel", fgn] + out,
+        "filter": ["filter", "--kernel", fgn, "--n", "50"] + out,
+        "validate-kernel": ["validate-kernel", "--kernel", fgn] + out,
+        "experiment --jobs 1": ["experiment", "--config", config, "--out-dir",
+                                str(tmp_path / "jobs1"), "--jobs", "1"],
+        "experiment --jobs 2": ["experiment", "--config", config, "--out-dir",
+                                str(tmp_path / "jobs2"), "--jobs", "2"],
+    }
+    codes = {"import armle": "import armle\n", "import armle.cli": "import armle.cli\n"}
+    for name, argv in argvs.items():
+        codes[name] = f"from armle.cli import main\nassert main({argv!r}) == 0\n"
+    loaded = {name: _loaded_after(code) for name, code in codes.items()}
+    scipy = {name: {".".join(m.split(".")[:2]) for m in mods if m.startswith("scipy")}
+             for name, mods in loaded.items()}
+    for name in ("import armle", "import armle.cli"):
+        assert loaded[name] == set(), (name, loaded[name])
+    for name in ("estimate white", "estimate fgn", "filter", "validate-kernel"):
+        assert scipy[name] == set(), (name, scipy[name])
+    assert "scipy.special" in scipy["test"] and "scipy.linalg" not in scipy["test"]
+    for name, packages in scipy.items():
+        assert not packages & {"scipy.signal", "scipy.stats"}, (name, packages)
+    pool = "concurrent.futures.process"
+    assert pool not in loaded["experiment --jobs 1"]
+    assert pool in loaded["experiment --jobs 2"]
     # First use in a fresh interpreter: only the clt aggregate imports scipy.stats.
     first_use = _SCIPY_LOADED + (
         "import numpy as np\n"

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import importlib.util
 import json
@@ -298,12 +299,13 @@ def test_jobs_split_a_config_of_one_default_block(monkeypatch):
 def test_pool_starts_one_worker_per_block(monkeypatch):
     workers = []
 
-    class Recording(experiments.ProcessPoolExecutor):
+    class Recording(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers=None, **kw):
             workers.append(max_workers)
             super().__init__(max_workers=max_workers, **kw)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recording)
+    # _map_blocks imports the pool class where it starts one.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
     assert list(experiments._map_blocks(len, [range(2), range(2, 5)], 4)) == [2, 3]
     assert list(experiments._map_blocks(len, [range(4)], 3)) == [4]
     assert workers == [2, 1]

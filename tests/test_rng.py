@@ -36,6 +36,19 @@ def test_standard_normals_inversion():
     np.testing.assert_array_equal(values, expected)
 
 
+@pytest.mark.parametrize("size", [0, 1, 2000, 20000])
+@pytest.mark.parametrize("rep", range(5))
+def test_standard_normals_match_centred_integers(rep, size):
+    # The same bits at every size, and the substream left at the same state.
+    gen, ref = rng.substream(3, 1, rep), rng.substream(3, 1, rep)
+    values = rng.standard_normals(gen, size)
+    raw = ref.integers(0, 1 << 53, size=size, dtype=np.int64)
+    expected = scipy.special.ndtri((raw.astype(float) + 0.5) / float(1 << 53))
+    assert values.shape == (size,)
+    np.testing.assert_array_equal(values, expected)
+    assert gen.random() == ref.random()
+
+
 def test_standard_normals_moments():
     values = rng.standard_normals(rng.substream(0), 200_000)
     assert abs(values.mean()) < 0.01
