@@ -59,9 +59,8 @@ import numpy as np
 
 from . import rng
 from .ar import fisher_info, fisher_info_inverse, require_stable
-from .exceptions import Unstable
 from .filtering import pacf_and_variances
-from .inference import _solve_gram
+from .inference import _lan_remainder, _local_alternative, _lr_statistic, _quad, _solve_gram
 from .noise import CovarianceKernel, kernel_from_json
 from .rng import _integer, _real
 from .state import _gram_moment, _markov_walk, _simulated_path
@@ -127,15 +126,8 @@ class ExperimentConfig:
                 raise ValueError(f"{self.experiment} needs a shift vector")
             if len(self.shift) != self.p:
                 raise ValueError("shift must have the same length as theta")
-        if self.experiment == "test_power":
-            # The stability region is not convex for p >= 3: check every n.
-            for theta, n, _, _ in _draws(self):
-                try:
-                    require_stable(theta)
-                except Unstable as exc:
-                    raise Unstable(
-                        f"theta + shift/sqrt(n) leaves the stability region at n={n}: {exc}"
-                    ) from exc
+            for n in self.sample_sizes:
+                _local_alternative(self.theta, self.shift, n)
         if self.experiment == "lil":
             if min(self.sample_sizes) < 16:
                 raise ValueError("lil needs sample sizes of at least 16")
@@ -268,9 +260,8 @@ def _draws(cfg: ExperimentConfig) -> list[tuple]:
     """
     if cfg.experiment != "test_power":
         return [(cfg.theta, max(cfg.sample_sizes), (cfg.seed,), cfg.sample_sizes)]
-    th0, u = np.array(cfg.theta), np.array(cfg.shift)
     return [
-        (th0 + u / math.sqrt(n), n, (cfg.seed, c), (n,))
+        (_local_alternative(cfg.theta, cfg.shift, n), n, (cfg.seed, c), (n,))
         for c, n in enumerate(cfg.sample_sizes)
     ]
 
@@ -325,11 +316,6 @@ def _raw_rows(reps: range, sizes, ok: np.ndarray, columns: dict) -> list[dict]:
 # stacked matmuls, which sum in the order of the 1-d products.
 
 
-def _quad(a: np.ndarray, m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a^T m b over the leading axes, in the product order of 1-d a @ m @ b."""
-    return ((a[..., None, :] @ m) @ b[..., None])[..., 0, 0]
-
-
 def _cols_consistency(cfg: ExperimentConfig, sizes, gram, theta_hat, solved):
     d = theta_hat - cfg.theta
     columns = {"err": np.sqrt((d[..., None, :] @ d[..., None])[..., 0, 0])}
@@ -344,19 +330,15 @@ def _cols_clt(cfg: ExperimentConfig, sizes, gram, theta_hat, solved):
 
 
 def _cols_test(cfg: ExperimentConfig, sizes, gram, theta_hat, solved):
-    """LR statistic d^T gram d against the null theta, d = theta_hat - theta."""
     from scipy.special import chdtri  # lazy (guard: test_cli::test_lazy_scipy_imports)
 
-    d = theta_hat - cfg.theta
-    stat = np.maximum(_quad(d, gram, d), 0.0)
+    stat = _lr_statistic(theta_hat - cfg.theta, gram)
     reject = (stat >= chdtri(cfg.p, cfg.alpha)).astype(int)
     return solved, {"statistic": stat, "reject": reject}
 
 
 def _cols_lan_remainder(cfg: ExperimentConfig, sizes, gram, theta_hat, solved):
-    u = np.array(cfg.shift)
-    curvature = gram / sizes[:, None, None] - fisher_info(cfg.theta)
-    rem = -0.5 * _quad(u, curvature, u)
+    rem = _lan_remainder(np.array(cfg.shift), gram, sizes[:, None, None], fisher_info(cfg.theta))
     return np.ones(rem.shape, dtype=bool), {"remainder": rem}
 
 
@@ -515,7 +497,7 @@ def _agg_test(cfg, good):
     summary = {"alpha": cfg.alpha, "critical": float(crit)}
     if cfg.experiment == "test_power":
         u = np.array(cfg.shift)
-        lam = float(u @ fisher_info(cfg.theta) @ u)
+        lam = float(_quad(u, fisher_info(cfg.theta), u))
         summary["noncentrality"] = lam
         summary["predicted_power"] = float(1.0 - chndtr(crit, cfg.p, lam))
     return per_n, summary

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ar import as_theta, fisher_info, require_stable
-from .exceptions import SingularGram
+from .exceptions import SingularGram, Unstable
 from .state import FilteredPath, _check_theta, _gram_moment, accumulate
 
 #: Gram matrices with a larger 2-norm condition number are rejected as singular.
@@ -27,18 +27,22 @@ GRAM_CONDITION_CAP = 1e12
 class EstimationResult:
     """Maximum-likelihood estimate with its empirical curvature.
 
-    ``gram_over_n`` is the information plug-in (the averaged Gram matrix);
-    ``cond`` its 2-norm condition number before averaging.
+    ``gram`` is the Gram matrix of the normal equations and ``cond`` its
+    2-norm condition number; ``gram_over_n`` is the information plug-in.
     """
 
     theta_hat: np.ndarray
-    gram_over_n: np.ndarray
+    gram: np.ndarray
     n: int
     cond: float
 
     @property
     def p(self) -> int:
         return self.theta_hat.size
+
+    @property
+    def gram_over_n(self) -> np.ndarray:
+        return self.gram / self.n
 
     @property
     def stderr(self) -> np.ndarray:
@@ -85,19 +89,37 @@ def mle(path: FilteredPath) -> EstimationResult:
     theta, cond, ok = _solve_gram(gram, moment)
     if not ok[0]:
         raise SingularGram(cond[0])
-    return EstimationResult(
-        theta_hat=theta[0], gram_over_n=gram[0] / path.n, n=path.n, cond=float(cond[0])
-    )
+    return EstimationResult(theta_hat=theta[0], gram=gram[0], n=path.n, cond=float(cond[0]))
+
+
+def _quad(a: np.ndarray, m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^T m b over the leading axes, in the product order of 1-d a @ m @ b."""
+    return ((a[..., None, :] @ m) @ b[..., None])[..., 0, 0]
+
+
+def _local_alternative(theta0, u, n: int) -> np.ndarray:
+    """theta_0 + u/sqrt(n), or Unstable naming n (the stable region is not convex)."""
+    try:
+        return require_stable(as_theta(theta0) + as_theta(u) / math.sqrt(n))
+    except Unstable as exc:
+        raise Unstable(f"theta0 + u/sqrt(n) is unstable at n={n}: {exc}") from exc
+
+
+def _lr_statistic(d: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """max(d^T gram d, 0) over stacks of d = theta_hat - theta_0 and Grams."""
+    return np.maximum(_quad(d, gram, d), 0.0)
+
+
+def _lan_remainder(u: np.ndarray, gram: np.ndarray, n, info: np.ndarray) -> np.ndarray:
+    """-<u, (gram/n - info) u>/2 over a Gram stack, n broadcasting against it."""
+    return -0.5 * _quad(u, gram / n - info, u)
 
 
 def _lr(path: FilteredPath, theta0) -> tuple[float, np.ndarray, EstimationResult]:
-    """(statistic, theta_0, estimate). The log-likelihood is quadratic in
-    theta, so the statistic is exactly d^T gram d with d = theta_hat - theta_0;
-    this form avoids cancelling two O(n) log-likelihood sums."""
+    """(statistic, theta_0, estimate) of the likelihood-ratio test of theta_0."""
     th0 = _check_theta(path, theta0)
     est = mle(path)
-    d = est.theta_hat - th0
-    return max(float(d @ est.gram_over_n @ d) * est.n, 0.0), th0, est
+    return float(_lr_statistic(est.theta_hat - th0, est.gram)), th0, est
 
 
 def lr_statistic(path: FilteredPath, theta0) -> float:
@@ -156,15 +178,12 @@ def lan_decomposition(path: FilteredPath, theta0, u) -> tuple[float, float, floa
     Unstable
         If theta_0 or theta_0 + u/sqrt(n) is outside the stability region.
     """
-    th0 = require_stable(theta0)
+    info = fisher_info(theta0)
     u = as_theta(u)
-    if u.size != th0.size:
+    if u.size != len(info):
         raise ValueError("u must have the same length as theta0")
-    n = path.n
-    require_stable(th0 + u / math.sqrt(n))
-    acc, score = accumulate(path, th0)
-    info = fisher_info(th0)
-    score_term = float(u @ score) / math.sqrt(n)
-    info_term = -0.5 * float(u @ info @ u)
-    remainder = -0.5 * float(u @ (acc.gram / n - info) @ u)
-    return score_term, info_term, remainder
+    _local_alternative(theta0, u, path.n)
+    acc, score = accumulate(path, theta0)
+    score_term = float(u @ score) / math.sqrt(path.n)
+    info_term = -0.5 * float(_quad(u, info, u))
+    return score_term, info_term, float(_lan_remainder(u, acc.gram, path.n, info))
