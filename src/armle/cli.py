@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import os
 import sys
 
@@ -65,9 +66,11 @@ def _echo_config(args, **resolved) -> None:
 def _vector_arg(text: str) -> tuple[float, ...]:
     try:
         values = tuple(float(tok) for tok in text.split(","))
+        if not all(map(math.isfinite, values)):
+            raise ValueError
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated reals, got {text!r}"
+            f"expected comma-separated finite reals, got {text!r}"
         ) from None
     return values
 

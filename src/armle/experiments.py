@@ -32,6 +32,11 @@ into raw rows, a missing value becoming None. ``_draws`` lists the
 simulations of a block: one trajectory per replicate from substream
 (seed, r), evaluated at every sample size, or, for ``test_power`` whose
 simulated parameter depends on n, one per size index c from (seed, c, r).
+The local alternative theta + shift/sqrt(n), checked at every sample size for
+``test_power`` and ``lan_remainder``, the LR statistic and the LAN remainder
+are the library's own (``inference``): at a single sample size a replicate's
+columns are, bit for bit, what ``lr_statistic`` and ``lan_decomposition``
+give on its path.
 A simulation never forms the series: ``state._simulated_path`` steps the
 paper's state recursion from the innovations, over all replicates of a block
 at once. It reads the filter's beta and sigma**2 from the run's one walk
@@ -116,6 +121,9 @@ class ExperimentConfig:
             raise ValueError("seed must be nonnegative")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
+        for name in ("shift", "direction"):
+            if not all(map(math.isfinite, getattr(self, name) or ())):
+                raise ValueError(f"{name} must be finite")
         if not self.sample_sizes:
             raise ValueError("sample_sizes must be nonempty")
         require_stable(self.theta)

@@ -7,6 +7,11 @@ score^T gram^{-1} score), and the expansion of
 log L(theta_0 + u/sqrt(n)) - log L(theta_0) in u is an algebraic identity with
 empirical curvature gram/n. Critical values come from the chi-square
 distribution with p degrees of freedom.
+
+The local alternative theta_0 + u/sqrt(n), the statistic max(d^T gram d, 0)
+and the LAN remainder -<u, (gram/n - I(theta_0)) u>/2 are defined here once,
+for the library and the harness alike; the last two take Gram stacks of any
+leading shape.
 """
 from __future__ import annotations
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -171,8 +172,21 @@ def test_estimate_matches_library(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     x = armle.simulate_series((0.3, 0.2), armle.ar1(0.5), 300, 5)
     ref = armle.mle(armle.filter_observations(x, armle.ar1(0.5), 2))
-    np.testing.assert_allclose(doc["theta_hat"], ref.theta_hat, rtol=1e-12)
-    np.testing.assert_allclose(doc["stderr"], ref.stderr, rtol=1e-12)
+    assert doc["theta_hat"] == ref.theta_hat.tolist()
+    assert doc["stderr"] == ref.stderr.tolist()
+    assert doc["gram_over_n"] == ref.gram_over_n.tolist()
+
+
+def test_test_matches_library(tmp_path, capsys):
+    path = _simulate_file(tmp_path, "x.csv", (0.3, 0.2), AR1_KERNEL, 300, 5)
+    argv = ["test", "--in", str(path), "--kernel", AR1_KERNEL, "--theta0", "0.25,0.1"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    x = armle.simulate_series((0.3, 0.2), armle.ar1(0.5), 300, 5)
+    ref = armle.lr_test(armle.filter_observations(x, armle.ar1(0.5), 2), (0.25, 0.1), 0.05)
+    assert doc["statistic"] == ref.statistic
+    assert doc["pvalue"] == ref.pvalue
+    assert doc["reject"] is ref.reject
 
 
 def test_test_at_the_estimate_accepts(tmp_path, capsys):
@@ -247,10 +261,8 @@ def test_lan_identity_via_cli(tmp_path, capsys):
     x = armle.simulate_series((0.3,), armle.ar1(0.5), 200, 8)
     fpath = armle.filter_observations(x, armle.ar1(0.5), 1)
     s, i, r = armle.lan_decomposition(fpath, (0.3,), (0.7,))
-    assert doc["score_term"] == pytest.approx(s, rel=1e-12)
-    assert doc["info_term"] == pytest.approx(i, rel=1e-12)
-    assert doc["remainder"] == pytest.approx(r, rel=1e-10, abs=1e-12)
-    assert doc["delta_loglik"] == pytest.approx(s + i + r, rel=1e-10, abs=1e-12)
+    assert (doc["score_term"], doc["info_term"], doc["remainder"]) == (s, i, r)
+    assert doc["delta_loglik"] == s + i + r
 
 
 def test_round_trip_within_three_stderr(tmp_path, capsys):
@@ -399,6 +411,15 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     negative_seed = ["--n", "5", "--seed", "-1"]
     assert main(["simulate", "--theta", "0.5", "--kernel", WHITE_KERNEL] + negative_seed) == 2
     capsys.readouterr()
+    # A non-finite vector is a usage error naming the value, like a non-number.
+    series = ["--in", str(_simulate_file(tmp_path, "x.csv", (0.3,), WHITE_KERNEL, 50, 1))]
+    for argv, value in (
+        (["simulate", "--theta", "nan", "--n", "5"], "'nan'"),
+        (["test", *series, "--theta0", "nan"], "'nan'"),
+        (["lan", *series, "--theta0", "0.3", "--u", "inf"], "'inf'"),
+    ):
+        assert main(argv + ["--kernel", WHITE_KERNEL]) == 2
+        assert value in capsys.readouterr().err
 
 
 def test_lan_dimension_mismatch_exits_2(tmp_path, capsys):
@@ -555,6 +576,10 @@ def test_experiment_config_errors(tmp_path, capsys):
         ({"sample_sizes": 100}, "sample_sizes"),
         ({"shift": 0.5}, "shift"),
         ({"kernel": "white"}, "kernel"),
+        # A non-finite shift or direction is refused before any replicate runs.
+        ({"shift": [math.nan], "experiment": "lan_remainder"}, "shift"),
+        ({"direction": [math.inf], "experiment": "lil"}, "direction"),
+        ({"shift": [math.nan], "experiment": "test_power"}, "shift"),
     ):
         cfg = _experiment_config(tmp_path, **bad)
         out_dir = tmp_path / f"out_{next(iter(bad))}"

@@ -21,9 +21,9 @@ from armle import (
 )
 from armle import experiments
 from armle.cli import main
-from armle.experiments import _block_size
+from armle.experiments import _block_size, _rows_block
 from armle.inference import _solve_gram
-from armle.state import _gram_moment, _simulated_path
+from armle.state import FilteredPath, _gram_moment, _simulated_path
 
 from _oracles import dense_state
 
@@ -101,6 +101,30 @@ def test_replicate_alone_is_its_row_in_a_block(kernel, theta):
             alone = arrays(_simulated_path(theta, eps[r : r + 1], walk), ends)
             for ours, theirs in zip(alone, in_block, strict=True):
                 np.testing.assert_array_equal(ours[0], theirs[r])
+
+
+@pytest.mark.parametrize("kernel", [white(), ar1(0.5), fgn(0.7)], ids=lambda k: k.label())
+@pytest.mark.parametrize("p", [1, 2])
+def test_block_columns_are_the_library_statistic_and_remainder(kernel, p):
+    # The harness's statistic and remainder columns are lr_statistic and the
+    # LAN remainder of lan_decomposition on each replicate's own path, bit for
+    # bit: both read the one definition in inference.
+    n, reps = 500, 16
+    theta, shift = (0.4, -0.2)[:p], (1.0, -0.5)[:p]
+    walk = armle.pacf_and_variances(kernel, n)
+    eps = np.stack([armle.standard_normals(armle.substream(7, r), n) for r in range(reps)])
+    block = _simulated_path(theta, eps, walk)
+    columns = {}
+    for experiment in ("test_size", "lan_remainder"):
+        cfg = _base_cfg(
+            experiment=experiment, theta=theta, kernel=kernel, sample_sizes=(n,), shift=shift
+        )
+        for row in _rows_block(cfg, walk, range(reps)):
+            columns.setdefault(row["replicate"], {}).update(row)
+    for r in range(reps):
+        path = FilteredPath(z=block.z[r], w=block.w[r], sigma2=block.sigma2)
+        assert columns[r]["statistic"] == armle.lr_statistic(path, theta)
+        assert columns[r]["remainder"] == armle.lan_decomposition(path, theta, shift)[2]
 
 
 @pytest.mark.parametrize("kernel", [ar1(0.5), fgn(0.7)], ids=lambda k: k.label())
@@ -424,18 +448,22 @@ def test_power_sizes_read_a_prefix_of_one_walk(monkeypatch, kernel):
 
 def test_power_checks_stability_at_every_sample_size(tmp_path):
     # For p >= 3 the stability region is not convex: theta + shift/sqrt(n) is
-    # stable at n = 100 but explosive (root modulus 1.0074) at n = 1600.
-    cfg = _base_cfg(
-        experiment="test_power",
-        theta=(-1.66361136, -0.67012713, 0.00893431),
-        shift=(39.6624161, -10.4378817, 4.0020369),
-        sample_sizes=(100, 1600),
-    )
-    with pytest.raises(Unstable, match="n=1600"):
-        cfg.validate()
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg.to_json_dict()))
-    assert main(["experiment", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 4
+    # stable at n = 100 but explosive (root modulus 1.0074) at n = 1600. The
+    # lan_remainder expansion point is checked the same way.
+    for experiment in ("test_power", "lan_remainder"):
+        cfg = _base_cfg(
+            experiment=experiment,
+            theta=(-1.66361136, -0.67012713, 0.00893431),
+            shift=(39.6624161, -10.4378817, 4.0020369),
+            sample_sizes=(100, 1600),
+        )
+        with pytest.raises(Unstable, match="n=1600"):
+            cfg.validate()
+        path = tmp_path / f"{experiment}.json"
+        path.write_text(json.dumps(cfg.to_json_dict()))
+        out_dir = tmp_path / experiment
+        assert main(["experiment", "--config", str(path), "--out-dir", str(out_dir)]) == 4
+        assert not out_dir.exists()
 
 
 def test_lan_remainder_zero_shift_is_exact_zero():
