@@ -7,10 +7,10 @@ summary line per experiment is printed at the end, with the headline number
 of that experiment (consistency slope, covariance error, rejection rates,
 trace ratio, envelope share, remainder trend).
 
-The full battery at the shipped settings takes about 3.5 s on one core,
-about half of it in the clt config. The two fGn configs take about 0.05 s
-each: a run walks the Durbin-Levinson filter once and simulates its blocks
-by the state recursion.
+The full battery at the shipped settings takes about 2.5-3.5 s on one core,
+about half of it in the clt config. The two fGn configs take about 0.03-0.04
+CPU-s each: a run walks the Durbin-Levinson filter once and simulates each
+block by one band solve of the state recursion.
 --jobs maps the blocks of replicates of each config (up to 64 replicates per
 block, and at least --jobs blocks where there are as many replicates) over
 that many worker processes, which does not change any output.

@@ -54,7 +54,7 @@ def require_stable(theta) -> np.ndarray:
     if not modulus < 1.0 - STABILITY_MARGIN:
         raise Unstable(
             f"theta={np.array2string(th, precision=6)} has root modulus "
-            f"{modulus:.6f} >= 1 - {STABILITY_MARGIN:g}"
+            f"{modulus:.6g} >= 1 - {STABILITY_MARGIN:g}"
         )
     return th
 

@@ -37,9 +37,9 @@ The local alternative theta + shift/sqrt(n), checked at every sample size for
 are the library's own (``inference``): at a single sample size a replicate's
 columns are, bit for bit, what ``lr_statistic`` and ``lan_decomposition``
 give on its path.
-A simulation never forms the series: ``state._simulated_path`` steps the
-paper's state recursion from the innovations, over all replicates of a block
-at once. It reads the filter's beta and sigma**2 from the run's one walk
+A simulation never forms the series: ``state._simulated_path`` solves the
+paper's state recursion from the innovations as one LAPACK band system, for
+all replicates of a block at once. It reads the filter's beta and sigma**2 from the run's one walk
 (``pacf_and_variances``, to the largest sample size), whose prefixes serve
 every block and every size; the walk is the closed form for white and ar1
 noise, a Durbin-Levinson walk otherwise. The raw.csv header is the keys of
@@ -68,7 +68,7 @@ from .filtering import pacf_and_variances
 from .inference import _lan_remainder, _local_alternative, _lr_statistic, _quad, _solve_gram
 from .noise import CovarianceKernel, kernel_from_json
 from .rng import _integer, _real
-from .state import _gram_moment, _markov_walk, _simulated_path
+from .state import _gram_moment, _simulated_path
 
 #: A report passes when at most this fraction of raw rows failed.
 FAILURE_BUDGET = 0.01
@@ -202,10 +202,12 @@ class ExperimentReport:
         return out | {"per_n": {str(n): self.per_n[n] for n in sorted(self.per_n)}}
 
     def write(self, out_dir: str) -> None:
-        """Write report.json, raw.csv and curves.csv into ``out_dir``."""
+        """Write report.json, raw.csv and curves.csv into ``out_dir``. The report
+        is serialized first, so a non-finite value raises before any file is made."""
+        report = _json_text(self.to_json_dict())
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-            fh.write(_json_text(self.to_json_dict()))
+            fh.write(report)
         with open(os.path.join(out_dir, "raw.csv"), "w", encoding="utf-8") as fh:
             fh.write(",".join(self.columns) + "\n")
             for row in self.rows:
@@ -240,23 +242,20 @@ def _fmt_cell(v) -> str:
 
 
 def _block_size(walk) -> int:
-    """Replicates per block: up to 64, within a budget of time steps.
+    """Replicates per block: up to 64, within a budget of 2**14 time steps.
 
-    The walk runs to the largest size n. Where its beta reach past lag 1 (fgn)
-    a block steps the state recursion, one Python loop of n steps whatever
-    the number of replicates, so a budget of 2**17 steps spreads that per-step
-    cost over the block while bounding its memory: the time-major buffer of z
-    and w, and the path copied from it, are at most (p + 1) MiB each. Where
-    they vanish (`_markov_walk`) no loop is shared; a budget of 2**14 steps
-    keeps each (R, n) array of a block within 128 KiB, in cache and on the
-    heap rather than in freshly mapped pages, and the (R, n, p) score weights
-    within 128 p KiB. The Gram at the sample sizes is (R, len(sizes), p, p);
-    only qsl and lil, which read it at every k, hold an (R, n, p, p) Gram of
-    up to 128 p**2 KiB. The size bounds memory and time per block only: a
-    replicate's row is the same in a block of any size.
+    The walk runs to the largest size n. No kernel shares a per-step cost
+    across a block: `_simulated_path` is one LAPACK band solve whatever the
+    kernel, so one budget serves all. It keeps each (R, n) array of a block
+    within 128 KiB, in cache and on the heap rather than in freshly mapped
+    pages, the (R, n, p) score weights within 128 p KiB and, where beta reach
+    past lag 1 (fgn), the solve's right-hand side within 128 (2p + 1) KiB. The
+    Gram at the sample sizes is (R, len(sizes), p, p); only qsl and lil,
+    which read it at every k, hold an (R, n, p, p) Gram of up to 128 p**2 KiB.
+    The size bounds memory and time per block only: a replicate's row is the
+    same in a block of any size.
     """
-    steps = 2**14 if _markov_walk(walk[0]) else 2**17
-    return min(64, max(1, steps // walk[0].size))
+    return min(64, max(1, 2**14 // walk[0].size))
 
 
 def _draws(cfg: ExperimentConfig) -> list[tuple]:

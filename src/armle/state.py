@@ -26,9 +26,11 @@ through the quadratic form in (gram, moment).
 
 `filter_observations` builds the path of one series from data
 (`_filtered_path`). A simulation needs no data: along the true model
-Z_m[0] = theta . w_m + sigma_m eps_m, so `_simulated_path` steps the
+Z_m[0] = theta . w_m + sigma_m eps_m, so `_simulated_path` runs the
 transition from the innovations eps_m of a block, reading beta and sigma**2
-of the filter's walk alone and never forming the series.
+of the filter's walk alone and never forming the series. Its coefficients
+are 1, theta and beta_m, so all n steps are one unit lower band system that
+LAPACK solves for every replicate of the block in one call.
 """
 from __future__ import annotations
 
@@ -142,13 +144,18 @@ def _simulated_path(theta, eps: np.ndarray, walk) -> FilteredPath:
         z_m = theta . w_m + sigma_m eps_m,
         w_{m+1} = Z_m + beta_m C_m,      C_{m+1} = C_m + beta_m Z_m,
 
-    one loop over m, each operation over the R replicates and theta . w_m a
-    fixed-order sum over the lags, so that a replicate's path does not depend
-    on R. ``walk`` is (beta, sigma2) of ``pacf_and_variances(kernel, N)`` for
-    any N >= n, of which the recursion reads a prefix. Where beta vanish past
-    lag 1 (`_markov_walk`) w holds the lags of z and z = apply_ar(theta,
-    sigma * eps).
+    a unit lower band system in the unknowns (w_m, C_m, z_m) of m = 1..n, in
+    that order, whose band holds -theta, -1 and -beta_m. LAPACK tbtrs solves
+    it in one call with one replicate per right-hand side column, so a
+    replicate's path does not depend on R. The right-hand side, sigma_m eps_m
+    in the z slots and zero elsewhere, is stored replicate-major and the
+    solution overwrites it; z and w are read off the solution. ``walk`` is
+    (beta, sigma2) of ``pacf_and_variances(kernel, N)`` for any N >= n, of
+    which the recursion reads a prefix. Where beta vanish past lag 1
+    (`_markov_walk`) w holds the lags of z and z = apply_ar(theta, sigma * eps).
     """
+    import scipy.linalg.lapack
+
     th = as_theta(theta)
     p = th.size
     reps, n = eps.shape
@@ -159,24 +166,31 @@ def _simulated_path(theta, eps: np.ndarray, walk) -> FilteredPath:
         for j in range(p):
             w[:, j + 1 :, j] = z[:, : n - j - 1]
         return FilteredPath(z=z, w=w, sigma2=sigma2)
-    # Time-major: g[m] = (z_m, w_m) over the replicates. Row n holds the unused
-    # w_{n+1}; the path copies the first n rows (C order, replicate-major), the
-    # layout of every path, so a replicate's Gram is the same BLAS call in any block.
-    g = np.empty((n + 1, p + 1, reps))
-    np.multiply(eps.T, np.sqrt(sigma2)[:, None], out=g[:n, 0])
-    g[0, 1:] = 0.0
-    carry = np.zeros((p, reps))
-    lag_term, carry_term = np.empty(reps), np.empty((p, reps))
-    mul, add, coefs = np.multiply, np.add, th.tolist()
-    for z, w, state, after, b in zip(g[:, 0], g[:, 1:], g[:, :p], g[1:, 1:], beta.tolist()):
-        for c, lag in zip(coefs, w):
-            mul(lag, c, out=lag_term)
-            add(z, lag_term, out=z)
-        mul(carry, b, out=carry_term)
-        add(state, carry_term, out=after)
-        mul(state, b, out=carry_term)
-        add(carry, carry_term, out=carry)
-    return FilteredPath(z=g[:n, 0].T.copy(), w=g[:n, 1:].transpose(2, 0, 1).copy(), sigma2=sigma2)
+    # Step m holds w_m[j] at slot j, C_m[j] at p + j and z_m at 2p; band[m, s, d]
+    # is the coefficient of the unknown in slot s of step m in the row d below
+    # it. The farthest, C_{m+1}[j + 1] from w_m[j], is 3p + 2 below (3 for p = 1).
+    slots = 2 * p + 1
+    band = np.zeros((n, slots, 3 * p + 3 if p > 1 else 4))
+    band[:, 2 * p, 1] = -1.0
+    band[:, 2 * p, p + 1] = -beta
+    for j in range(p):
+        band[:, j, 2 * p - j] = -th[j]
+        band[:, p + j, p + 1] = -beta
+        band[:, p + j, 2 * p + 1] = -1.0
+        if j < p - 1:
+            band[:, j, 2 * p + 2] = -1.0
+            band[:, j, 3 * p + 2] = -beta
+    rhs = np.zeros((reps, n, slots))
+    np.multiply(eps, np.sqrt(sigma2), out=rhs[:, :, 2 * p])
+    x, _ = scipy.linalg.lapack.dtbtrs(
+        band.reshape(n * slots, -1).T,
+        rhs.reshape(reps, n * slots).T,
+        uplo="L",
+        diag="U",
+        overwrite_b=True,
+    )
+    x = x.T.reshape(reps, n, slots)
+    return FilteredPath(z=x[:, :, 2 * p].copy(), w=x[:, :, :p].copy(), sigma2=sigma2)
 
 
 # Sums that overflow give a non-finite Gram, which _solve_gram reads as singular

@@ -68,6 +68,12 @@ def test_require_stable_raises_with_modulus():
     assert "1" in str(err.value)
 
 
+def test_require_stable_message_stays_short_for_huge_theta():
+    with pytest.raises(Unstable) as err:
+        require_stable((1e200,))
+    assert len(str(err.value)) < 120 and "e+200" in str(err.value)
+
+
 def test_random_stable_thetas_are_stable():
     gen = np.random.default_rng(7)
     for _ in range(100):

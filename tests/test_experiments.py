@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import dataclasses
 import importlib.util
 import json
 import math
@@ -269,7 +270,7 @@ def test_report_job_independent_across_blocks():
     cfg = _base_cfg(
         experiment="test_size", kernel=fgn(0.7), sample_sizes=(2048,), replicates=131
     )
-    assert _block_size(armle.pacf_and_variances(cfg.kernel, 2048)) == 64
+    assert _block_size(armle.pacf_and_variances(cfg.kernel, 2048)) == 8
     ref = run_experiment(cfg, jobs=1)
     expected = ref.to_json_dict()
     expected.pop("runtime_seconds")
@@ -279,6 +280,12 @@ def test_report_job_independent_across_blocks():
         got = other.to_json_dict()
         got.pop("runtime_seconds")
         assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+@pytest.mark.parametrize("n", [1, 100, 2000, 2**14, 20000])
+def test_block_size_is_one_budget_for_every_kernel(n):
+    sizes = {_block_size(armle.pacf_and_variances(k, n)) for k in (white(), ar1(0.5), fgn(0.7))}
+    assert sizes == {min(64, max(1, 2**14 // n))}
 
 
 @pytest.mark.parametrize("kernel", [ar1(0.5), fgn(0.7)], ids=lambda k: k.label())
@@ -301,10 +308,12 @@ def test_every_experiment_same_files_in_blocks_of_one(tmp_path, monkeypatch, ker
 
 
 def test_jobs_split_a_config_of_one_default_block(monkeypatch):
-    # test_size_fgn07's 50 replicates fit in one default block; --jobs 2 maps
-    # them as two, and the rows are those of the one block.
+    # test_size_fgn07's 50 replicates at n = 256 fit in one default block;
+    # --jobs 2 maps them as two, and the rows are those of the one block.
     path = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "test_size_fgn07.json"
-    cfg = ExperimentConfig.from_json_dict(json.loads(path.read_text()))
+    cfg = ExperimentConfig.from_json_dict(
+        {**json.loads(path.read_text()), "sample_sizes": [256]}
+    )
     mapped = []
     map_blocks = experiments._map_blocks
 
@@ -580,6 +589,15 @@ def test_failed_replicate_rows_through_harness(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 # Report files
 # ---------------------------------------------------------------------------
+
+
+def test_non_finite_report_writes_nothing(tmp_path):
+    # report.json is serialized before the out dir or any file is made.
+    report = run_experiment(_base_cfg(replicates=2))
+    bad = dataclasses.replace(report, summary=report.summary | {"envelope": math.inf})
+    with pytest.raises(ValueError):
+        bad.write(tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_report_files_round_trip(tmp_path):

@@ -2,6 +2,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 
 import armle
 from armle import (
@@ -122,6 +123,38 @@ def test_simulated_path_matches_two_walks(kernel, theta):
     tol = 1e-12 * np.max(np.abs(ref.z))
     np.testing.assert_allclose(ours.z, ref.z, rtol=0, atol=tol)
     np.testing.assert_allclose(ours.w, ref.w, rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("reps", [1, 3])
+@pytest.mark.parametrize("theta", [(0.5,), _EDGE_THETA], ids=["p1", "p5_edge"])
+@pytest.mark.parametrize("kernel", [fgn(0.05), fgn(0.95)], ids=lambda k: k.label())
+def test_simulated_path_at_the_shortest_sizes(kernel, theta, reps, monkeypatch):
+    # At n = 1, 2 and p + 2 the path is one dtbtrs solve that matches the two
+    # walks, leaves eps as it was, and is read from the solution dtbtrs
+    # returns: its input buffer is poisoned after each solve.
+    solve, calls = scipy.linalg.lapack.dtbtrs, []
+
+    def poisoned(ab, b, **kw):
+        x, info = solve(ab, b, **kw)
+        x = x.copy()
+        b[...] = np.nan
+        calls.append(1)
+        return x, info
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dtbtrs", poisoned)
+    for n in (1, 2, len(theta) + 2):
+        eps = np.stack([armle.standard_normals(armle.substream(6, r), n) for r in range(reps)])
+        eps.setflags(write=False)
+        given = eps.copy()
+        calls.clear()
+        ours = _simulated_path(theta, eps, pacf_and_variances(kernel, n + 3))
+        assert len(calls) == 1
+        np.testing.assert_array_equal(eps, given)
+        ref = two_walk_path(theta, kernel, eps)
+        tol = 1e-12 * np.max(np.abs(ref.z))
+        np.testing.assert_allclose(ours.z, ref.z, rtol=0, atol=tol)
+        np.testing.assert_allclose(ours.w, ref.w, rtol=0, atol=tol)
+        np.testing.assert_array_equal(ours.sigma2, ref.sigma2)
 
 
 def test_markov_walk_variances_are_one_closed_form():
