@@ -249,11 +249,12 @@ def _block_size(walk) -> int:
     kernel, so one budget serves all. It keeps each (R, n) array of a block
     within 128 KiB, in cache and on the heap rather than in freshly mapped
     pages, the (R, n, p) score weights within 128 p KiB and, where beta reach
-    past lag 1 (fgn), the solve's right-hand side within 128 (2p + 1) KiB. The
-    Gram at the sample sizes is (R, len(sizes), p, p); only qsl and lil,
-    which read it at every k, hold an (R, n, p, p) Gram of up to 128 p**2 KiB.
-    The size bounds memory and time per block only: a replicate's row is the
-    same in a block of any size.
+    past lag 1 (fgn), the solve's right-hand side within 128 (2p + 1) KiB; its
+    band, up to n (2p + 1)(3p + 3) doubles, does not depend on R. The Gram at
+    the sample sizes is (R, len(sizes), p, p); only qsl and lil, which read it
+    at every k, hold an (R, n, p, p) Gram of up to 128 p**2 KiB. The size
+    bounds memory and time per block only: a replicate's row is the same in
+    a block of any size.
     """
     return min(64, max(1, 2**14 // walk[0].size))
 
