@@ -94,7 +94,7 @@ def _markov(kernel: CovarianceKernel, n: int) -> tuple[np.ndarray, np.ndarray] |
     """
     if kernel.family not in ("white", "ar1"):
         return None
-    a = kernel.a if kernel.family == "ar1" else 0.0
+    a = kernel.param if kernel.family == "ar1" else 0.0
     beta = np.zeros(n)
     beta[:1] = a
     sigma2 = np.full(n, _check_positive(a, 1.0, 2))

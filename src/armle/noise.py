@@ -10,6 +10,12 @@ Supported kernel families, all normalized so that r(0) = 1:
     Fractional Gaussian noise increments with Hurst index H in (0, 1),
     r(k) = ((k+1)**(2H) - 2*k**(2H) + |k-1|**(2H)) / 2.
 
+A kernel is its family and that family's one parameter, a or H, or none for
+white: ``CovarianceKernel("ar1", 0.5)``, or the factory ``ar1(0.5)``.
+``_PARAMS`` declares the families and the JSON names of their parameters
+once; the JSON form ``{"family": "ar1", "params": {"a": 0.5}}``, the label
+and the parser read it.
+
 Sampling is exact: a path of length n is built from n i.i.d. standard normal
 innovations through the innovations representation
 ``xi_m = one-step prediction from xi_1..xi_{m-1} + sigma_m * eps_m``,
@@ -18,57 +24,51 @@ where predictions and variances come from the Durbin-Levinson filter.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import rng
 
-FAMILIES = ("white", "ar1", "fgn")
+#: The kernel families and the JSON names of their parameters. A family has
+#: one parameter, held in ``CovarianceKernel.param``, or none.
+_PARAMS = {"white": (), "ar1": ("a",), "fgn": ("H",)}
 
 
 @dataclass(frozen=True)
 class CovarianceKernel:
-    """Covariance kernel of a stationary centered Gaussian sequence.
+    """Covariance kernel of a stationary centered Gaussian sequence: a family
+    and its one parameter.
 
     Parameters
     ----------
     family : str
         One of ``"white"``, ``"ar1"``, ``"fgn"``.
-    a : float, optional
-        Lag-1 correlation, used by the ``ar1`` family only. |a| < 1.
-    hurst : float, optional
-        Hurst index, used by the ``fgn`` family only. 0 < H < 1.
+    param : float, optional
+        The lag-1 correlation a of ``ar1`` (|a| < 1) or the Hurst index H of
+        ``fgn`` (0 < H < 1); None for ``white``, which has no parameter.
+        ``CovarianceKernel("ar1", 0.5) == ar1(0.5)``.
     """
 
     family: str
-    a: float = 0.0
-    hurst: float = 0.5
+    param: float | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in _PARAMS:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if self.family == "ar1":
-            if not (math.isfinite(self.a) and abs(self.a) < 1.0):
-                raise ValueError("ar1 kernel needs |a| < 1")
-        if self.family == "fgn":
-            if not (math.isfinite(self.hurst) and 0.0 < self.hurst < 1.0):
-                raise ValueError("fgn kernel needs Hurst index in (0, 1)")
+        if (self.param is None) == bool(_PARAMS[self.family]):
+            need = "needs a param" if self.param is None else "takes no param"
+            raise ValueError(f"{self.family} kernel {need}")
+        if self.family == "ar1" and not -1.0 < self.param < 1.0:
+            raise ValueError("ar1 kernel needs |a| < 1")
+        if self.family == "fgn" and not 0.0 < self.param < 1.0:
+            raise ValueError("fgn kernel needs Hurst index in (0, 1)")
 
     def to_json_dict(self) -> dict:
-        if self.family == "ar1":
-            return {"family": "ar1", "params": {"a": self.a}}
-        if self.family == "fgn":
-            return {"family": "fgn", "params": {"H": self.hurst}}
-        return {"family": "white", "params": {}}
+        return {"family": self.family, "params": dict(zip(_PARAMS[self.family], [self.param]))}
 
     def label(self) -> str:
-        if self.family == "ar1":
-            return f"ar1(a={self.a:g})"
-        if self.family == "fgn":
-            return f"fgn(H={self.hurst:g})"
-        return "white"
+        return self.family + "".join(f"({name}={self.param:g})" for name in _PARAMS[self.family])
 
 
 def white() -> CovarianceKernel:
@@ -76,11 +76,11 @@ def white() -> CovarianceKernel:
 
 
 def ar1(a: float) -> CovarianceKernel:
-    return CovarianceKernel("ar1", a=float(a))
+    return CovarianceKernel("ar1", float(a))
 
 
 def fgn(hurst: float) -> CovarianceKernel:
-    return CovarianceKernel("fgn", hurst=float(hurst))
+    return CovarianceKernel("fgn", float(hurst))
 
 
 def covariance(kernel: CovarianceKernel, lag: int) -> float:
@@ -98,13 +98,9 @@ def _covariance(kernel: CovarianceKernel, k: int) -> float:
     if kernel.family == "white":
         return 0.0
     if kernel.family == "ar1":
-        return float(kernel.a) ** k
-    h2 = 2.0 * kernel.hurst
+        return float(kernel.param) ** k
+    h2 = 2.0 * kernel.param
     return 0.5 * ((k + 1.0) ** h2 - 2.0 * k**h2 + (k - 1.0) ** h2)
-
-
-#: The parameters of each family, by their JSON names.
-_PARAMS = {"white": (), "ar1": ("a",), "fgn": ("H",)}
 
 
 def kernel_from_json(text: str | dict) -> CovarianceKernel:
@@ -128,13 +124,12 @@ def kernel_from_json(text: str | dict) -> CovarianceKernel:
     unknown = set(params) - set(_PARAMS[family])
     if unknown:
         raise ValueError(f"{family} kernel has unknown params: {sorted(unknown)}")
-    if family == "white":
-        return white()
-    (name,) = _PARAMS[family]
-    if name not in params:
-        raise ValueError(f"{family} kernel needs params.{name}")
-    value = rng._real(f"{family} kernel params.{name}", params[name])
-    return ar1(value) if family == "ar1" else fgn(value)
+    values = []
+    for name in _PARAMS[family]:
+        if name not in params:
+            raise ValueError(f"{family} kernel needs params.{name}")
+        values.append(rng._real(f"{family} kernel params.{name}", params[name]))
+    return CovarianceKernel(family, *values)
 
 
 @dataclass(frozen=True)
