@@ -136,7 +136,7 @@ def _emit_json(obj: dict, out: str) -> None:
 
 def _read_series(path: str) -> np.ndarray:
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
             if "x" not in header:

@@ -141,6 +141,8 @@ class ExperimentConfig:
                 raise ValueError("lil needs sample sizes of at least 16")
             if self.direction is not None and len(self.direction) != self.p:
                 raise ValueError("direction must have the same length as theta")
+            if not math.isfinite(_lil_envelope(self)):
+                raise ValueError("direction overflows the lil envelope sqrt(v^T I^-1 v)")
 
     def to_json_dict(self) -> dict:
         """Fields in declaration order, tuples as lists, unset options left out."""
@@ -381,6 +383,14 @@ def _direction(cfg: ExperimentConfig) -> np.ndarray:
     return v
 
 
+def _lil_envelope(cfg: ExperimentConfig) -> float:
+    """The lil envelope sqrt(v^T I(theta)^-1 v) of the direction v; inf or nan
+    where it overflows, which `ExperimentConfig.validate` refuses."""
+    v = _direction(cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return math.sqrt(v @ fisher_info_inverse(cfg.theta) @ v)
+
+
 # ---------------------------------------------------------------------------
 # Aggregation (pure function of config and sorted rows)
 # ---------------------------------------------------------------------------
@@ -465,9 +475,7 @@ def _agg_qsl(cfg, good):
 
 
 def _agg_lil(cfg, good):
-    v = _direction(cfg)
-    inv = fisher_info_inverse(cfg.theta)
-    envelope = float(math.sqrt(v @ inv @ v))
+    envelope = _lil_envelope(cfg)
     per_n = _per_n(
         good, "running_max_abs_s",
         within_share=lambda m: np.mean(m <= 2.0 * envelope), max_running=np.max,

@@ -486,6 +486,19 @@ def test_csv_errors_name_line_and_column(tmp_path, capsys, text, message):
     assert err.startswith("armle: error: ") and message in err, err
 
 
+def test_csv_with_byte_order_mark_reads_as_without(tmp_path, capsys):
+    # Spreadsheet programs start a UTF-8 CSV with EF BB BF, before the header 'x'.
+    data = b"x,t\n0.5,1\n-0.25,2\n1.0,3\n"
+    outs = []
+    for name, prefix in [("plain.csv", b""), ("bom.csv", b"\xef\xbb\xbf")]:
+        path = tmp_path / name
+        path.write_bytes(prefix + data)
+        capsys.readouterr()
+        assert main(["estimate", "--in", str(path), "--p", "1", "--kernel", WHITE_KERNEL]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 def test_csv_blank_lines_are_skipped(tmp_path, capsys):
     outs = []
     for name, text in [("plain.csv", "t,x\n1,0.5\n2,-0.25\n3,1.0\n"),
@@ -534,7 +547,11 @@ def test_degeneracy_exits_4(tmp_path, capsys):
         assert err.startswith("armle: numeric degeneracy") and err.count("\n") == 1
 
 
-def test_experiment_config_errors(tmp_path, capsys):
+def test_experiment_config_errors(tmp_path, capsys, monkeypatch):
+    def no_replicates(*args, **kwargs):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr("armle.experiments._simulated_path", no_replicates)
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")
     assert (
@@ -576,9 +593,11 @@ def test_experiment_config_errors(tmp_path, capsys):
         ({"sample_sizes": 100}, "sample_sizes"),
         ({"shift": 0.5}, "shift"),
         ({"kernel": "white"}, "kernel"),
-        # A non-finite shift or direction is refused before any replicate runs.
+        # A non-finite shift or direction is refused before any replicate runs,
+        # and so is a finite direction whose lil envelope overflows.
         ({"shift": [math.nan], "experiment": "lan_remainder"}, "shift"),
         ({"direction": [math.inf], "experiment": "lil"}, "direction"),
+        ({"direction": [1e200], "experiment": "lil"}, "direction"),
         ({"shift": [math.nan], "experiment": "test_power"}, "shift"),
     ):
         cfg = _experiment_config(tmp_path, **bad)

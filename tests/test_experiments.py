@@ -174,6 +174,12 @@ def test_config_validation_errors():
         _base_cfg(experiment="lan_remainder", shift=(0.1, 0.2)).validate()
     with pytest.raises(ValueError):
         _base_cfg(experiment="lil", sample_sizes=(12,)).validate()
+    # A finite direction whose envelope v^T I^-1 v overflows: a ValueError, not
+    # the RuntimeWarning that the suite turns into an error.
+    for direction in ((1e200,), (1e200, -1e200)):
+        with pytest.raises(ValueError, match="direction"):
+            _base_cfg(experiment="lil", theta=(0.3,) * len(direction),
+                      sample_sizes=(50,), direction=direction).validate()
     with pytest.raises(Unstable):
         _base_cfg(
             experiment="test_power", shift=(8.0,), sample_sizes=(100,)

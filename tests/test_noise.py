@@ -77,6 +77,34 @@ def test_kernel_parameter_validation():
         CovarianceKernel(family="triangular")
 
 
+def test_kernel_refuses_a_param_its_family_does_not_read():
+    for family, args in (("white", (0.9,)), ("ar1", ()), ("fgn", ())):
+        with pytest.raises(ValueError, match=family):
+            CovarianceKernel(family, *args)
+
+
+@pytest.mark.parametrize(
+    "factory, direct",
+    [
+        (white(), CovarianceKernel("white")),
+        (ar1(0.5), CovarianceKernel("ar1", 0.5)),
+        (fgn(0.7), CovarianceKernel("fgn", 0.7)),
+    ],
+    ids=["white", "ar1", "fgn"],
+)
+def test_factory_json_and_direct_kernel_are_one_kernel(factory, direct):
+    back = kernel_from_json(json.dumps(factory.to_json_dict()))
+    assert factory == back == direct
+    assert hash(factory) == hash(back) == hash(direct)
+
+
+def test_kernel_set_holds_one_element_per_kernel():
+    ar1_json = '{"family": "ar1", "params": {"a": 0.5}}'
+    assert len({ar1(0.5), kernel_from_json(ar1_json)}) == 1
+    fgn_json = '{"family": "fgn", "params": {"H": 0.7}}'
+    assert len({fgn(0.7), CovarianceKernel("fgn", 0.7), kernel_from_json(fgn_json)}) == 1
+
+
 def test_kernel_json_round_trip():
     for k in (white(), ar1(-0.35), fgn(0.62)):
         back = kernel_from_json(k.to_json_dict())
