@@ -20,14 +20,15 @@ rows (`kernel_rows`) costs O(n^2).
 The walk (beta_1..beta_n, sigma_1**2..sigma_n**2) of `pacf_and_variances`
 depends on the kernel and n only, never on data, and its first m steps do
 not depend on n either. It is the one description of a kernel's filter: the
-Markov kernels (white, ar1) give it in closed form (`_markov`), the Monte
-Carlo harness reads nothing else, once per run (`state._simulated_path`), and
-`kernel_rows` rebuilds the rows from it. The library filters one series:
-`_generate` (for `noise_from_innovations`) and `_whiten` (for
-`filter_observations`) read beta_1 and sigma**2 of a Markov walk, or make one
-`_levinson` call that applies the rows. `_whiten` whitens the series alone,
-one dot product per step: lag j + 1 of the whitened state Z_m is lag j of the
-score weight w_m, so `state._filtered_path` derives the lags.
+Monte Carlo harness reads nothing else, once per run
+(`state._simulated_path`), and `kernel_rows` rebuilds the rows from it.
+`_walk` is the one place that chooses how to compute it: the Markov kernels
+(white, ar1) give it in closed form, every other kernel calls `_levinson`.
+The library filters one series by one `_walk` call that also whitens it
+(`filter_observations`) or generates it from innovations
+(`noise_from_innovations`). Only the series itself is whitened, one dot
+product per step: lag j + 1 of the whitened state Z_m is lag j of the score
+weight w_m, so `state._filtered_path` derives the lags.
 """
 from __future__ import annotations
 
@@ -85,48 +86,30 @@ def _levinson(kernel: CovarianceKernel, n: int, x=None, eps=None):
     return beta, sigma2, out
 
 
-def _markov(kernel: CovarianceKernel, n: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The closed-form walk (beta, sigma2) of a Markov kernel, else None.
+def _walk(kernel: CovarianceKernel, n: int, x=None, eps=None):
+    """The filter's walk of n >= 1 steps, as `_levinson` returns it.
 
-    For ar1 (and white, the case a = 0) beta_1 = a and beta_m = 0 afterwards,
-    so every row from the second on is (0, ..., 0, -a, 1), sigma_1**2 = 1 and
-    sigma_m**2 = 1 - a**2; the positivity check runs at every n.
+    For ar1 (and white, the case a = 0) it is closed form: beta_1 = a and
+    beta_m = 0 afterwards, so every row from the second on is
+    (0, ..., 0, -a, 1), sigma_1**2 = 1 and sigma_m**2 = 1 - a**2; the
+    positivity check runs at every n. ``out`` is then x minus a times x
+    shifted by one, or the AR(1) filter of sigma * eps. Other kernels walk
+    the recursion.
     """
     if kernel.family not in ("white", "ar1"):
-        return None
+        return _levinson(kernel, n, x=x, eps=eps)
     a = kernel.param if kernel.family == "ar1" else 0.0
-    beta = np.zeros(n)
+    beta = np.zeros(n - 1)
     beta[:1] = a
     sigma2 = np.full(n, _check_positive(a, 1.0, 2))
-    sigma2[:1] = 1.0
-    return beta, sigma2
-
-
-def _generate(kernel: CovarianceKernel, eps: np.ndarray) -> np.ndarray:
-    """Map innovations eps_1..eps_n of one series to a stationary path.
-
-    Inverts the whitening map, xi_m = sigma_m * eps_m - sum_{i<m} k(m, i) * xi_i.
-    """
-    walk = _markov(kernel, eps.size)
-    if walk is not None:
-        beta, sigma2 = walk
-        return apply_ar(beta[:1], np.sqrt(sigma2) * eps)
-    return _levinson(kernel, eps.size, eps=eps)[2]
-
-
-def _whiten(kernel: CovarianceKernel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Whiten one series x_1..x_n.
-
-    Returns (beta, sigma2, z) as `_levinson` does: beta_1..beta_{n-1},
-    sigma_1**2..sigma_n**2 and ``z[m-1] = sum_{i<=m} k(m, i) x_i``.
-    """
-    walk = _markov(kernel, x.size)
-    if walk is None:
-        return _levinson(kernel, x.size, x=x)
-    beta, sigma2 = walk
-    z = x.copy()
-    z[1:] -= beta[0] * x[:-1]
-    return beta[:-1], sigma2, z
+    sigma2[0] = 1.0
+    out = None
+    if x is not None:
+        out = x.copy()
+        out[1:] -= a * x[:-1]
+    elif eps is not None:
+        out = apply_ar((a,), np.sqrt(sigma2) * eps)
+    return beta, sigma2, out
 
 
 def kernel_rows(kernel: CovarianceKernel, n: int) -> np.ndarray:
@@ -138,8 +121,7 @@ def kernel_rows(kernel: CovarianceKernel, n: int) -> np.ndarray:
     n = _integer("n", n)
     if n < 1:
         raise ValueError("n must be at least 1")
-    walk = _markov(kernel, n)
-    beta = _levinson(kernel, n)[0] if walk is None else walk[0][:-1]
+    beta = _walk(kernel, n)[0]
     rows = np.zeros((n, n))
     rows[0, 0] = 1.0
     for m, b in enumerate(beta.tolist(), start=1):
@@ -153,14 +135,11 @@ def pacf_and_variances(kernel: CovarianceKernel, n: int) -> tuple[np.ndarray, np
     """The filter's walk: (beta_1..beta_n, sigma_1**2..sigma_n**2).
 
     The Monte Carlo harness reads a run's walk and nothing else of the filter;
-    `armle filter` dumps it. White and ar1 give their closed form (`_markov`)
-    without the O(n**2) recursion.
+    `armle filter` dumps it. It is the first n steps of `_walk` to n + 1, so
+    white and ar1 give their closed form without the O(n**2) recursion.
     """
     n = _integer("n", n)
     if n < 1:
         raise ValueError("n must be at least 1")
-    walk = _markov(kernel, n)
-    if walk is not None:
-        return walk
-    beta, sigma2, _ = _levinson(kernel, n + 1)
+    beta, sigma2, _ = _walk(kernel, n + 1)
     return beta, sigma2[:n]

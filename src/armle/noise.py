@@ -209,14 +209,14 @@ def noise_from_innovations(kernel: CovarianceKernel, eps: np.ndarray) -> np.ndar
     xi_m = sigma_m * eps_m - sum_{i<m} k(m, i) * xi_i: O(n) for white and
     ar1 kernels, O(n^2) otherwise.
     """
-    from .filtering import _generate
+    from .filtering import _walk
 
     if np.ndim(eps) != 1:
         raise ValueError(f"innovations must be a 1-d array, got shape {np.shape(eps)}")
     eps = np.ascontiguousarray(eps, dtype=float)
     if eps.size == 0:
         return np.empty(0)
-    return _generate(kernel, eps)
+    return _walk(kernel, eps.size, eps=eps)[2]
 
 
 def sample_noise(kernel: CovarianceKernel, n: int, seed: int) -> np.ndarray:

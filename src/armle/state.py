@@ -40,7 +40,7 @@ import numpy as np
 
 from .ar import apply_ar, as_theta
 from .exceptions import DimensionMismatch, TooShort
-from .filtering import _whiten
+from .filtering import _walk
 from .noise import CovarianceKernel
 from .rng import _integer
 
@@ -115,7 +115,7 @@ def _filtered_path(kernel: CovarianceKernel, x: np.ndarray, p: int) -> FilteredP
     before, with the carry c_m = sum_{i<m} beta_i u_i (c_1 = 0, W(u)_1 = 0),
     starting from u = z.
     """
-    beta, sigma2, z = _whiten(kernel, x)
+    beta, sigma2, z = _walk(kernel, x.size, x=x)
     w = np.zeros((z.size, p))
     carry = np.zeros_like(z)
     u = z

@@ -12,8 +12,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from armle import apply_ar, companion, covariance
-from armle.filtering import _generate
+from armle import apply_ar, companion, covariance, noise_from_innovations
 from armle.state import FilteredPath, _filtered_path
 
 
@@ -81,7 +80,8 @@ def two_walk_path(theta, kernel, eps):
     (R, n), one replicate at a time: the noise from one walk, the series by
     the AR recursion and its filtered path from a second walk."""
     paths = [
-        _filtered_path(kernel, apply_ar(theta, _generate(kernel, e)), len(theta)) for e in eps
+        _filtered_path(kernel, apply_ar(theta, noise_from_innovations(kernel, e)), len(theta))
+        for e in eps
     ]
     return FilteredPath(
         z=np.stack([q.z for q in paths]),
