@@ -89,6 +89,8 @@ def main(argv=None) -> int:
         "--quiet", action="store_true", help="suppress per-replicate progress"
     )
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"--jobs must be at least 1, got {args.jobs}")
 
     paths = sorted(args.configs.glob("*.json"))
     if args.only:

@@ -548,13 +548,17 @@ def run_experiment(
     """Run the configured experiment and return its report.
 
     Replicates run in blocks, each simulated at once from the run's one
-    filter walk; ``jobs > 1`` splits them into at least ``jobs`` blocks where
-    there are as many replicates and distributes the blocks over a process
-    pool. A replicate's row does not depend on its block and rows are merged
-    in replicate order, so reports are identical for any job count. The walk
+    filter walk; ``jobs``, an integer of at least 1 (else ValueError), above 1
+    splits them into at least ``jobs`` blocks where there are as many
+    replicates and distributes the blocks over a process pool. A replicate's
+    row does not depend on its block and rows are merged in replicate order,
+    so reports are identical for any job count. The walk
     is also the kernel's check: where the filter breaks down before the
     largest size it raises NotPositiveDefinite, before any replicate runs.
     """
+    jobs = _integer("jobs", jobs)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     cfg.validate()
     t0 = time.perf_counter()
     reps = cfg.replicates
@@ -590,7 +594,8 @@ def run_experiment(
 
 
 def _map_blocks(fn, blocks: list[range], jobs: int):
-    """Yield fn(block) in block order, in process or on up to ``jobs`` workers."""
+    """Yield fn(block) in block order, in process or on up to ``jobs`` workers,
+    no more than there are blocks or CPUs this process may run on."""
     if jobs <= 1:
         yield from map(fn, blocks)
         return
@@ -598,5 +603,9 @@ def _map_blocks(fn, blocks: list[range], jobs: int):
     # (guard: test_cli::test_lazy_scipy_imports).
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(jobs, len(blocks))) as pool:
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    with ProcessPoolExecutor(max_workers=min(jobs, len(blocks), cpus)) as pool:
         yield from pool.map(fn, blocks)

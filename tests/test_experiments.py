@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -343,11 +344,64 @@ def test_pool_starts_one_worker_per_block(monkeypatch):
             workers.append(max_workers)
             super().__init__(max_workers=max_workers, **kw)
 
-    # _map_blocks imports the pool class where it starts one.
+    # _map_blocks imports the pool class where it starts one; four CPUs cap nothing here.
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
     assert list(experiments._map_blocks(len, [range(2), range(2, 5)], 4)) == [2, 3]
     assert list(experiments._map_blocks(len, [range(4)], 3)) == [4]
     assert workers == [2, 1]
+
+
+def test_pool_is_capped_at_the_available_cpus(monkeypatch):
+    # --jobs 1000 on 1000 blocks of 2 asks for no more workers than CPUs; the
+    # blocks still follow jobs, so the report is that of --jobs 1. The pool
+    # maps in process and starts no worker.
+    workers = []
+
+    class InProcess:
+        def __init__(self, max_workers=None):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    blocks = [range(k, k + 2) for k in range(0, 2000, 2)]
+    assert list(experiments._map_blocks(len, blocks, 1000)) == [2] * 1000
+    cfg = _base_cfg(kernel=white(), sample_sizes=(20,), replicates=40)
+    assert run_experiment(cfg, jobs=40).rows == run_experiment(cfg).rows
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for count in (5, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        list(experiments._map_blocks(len, blocks, 1000))
+    assert workers == [3, 3, 5, 1]
+
+
+@pytest.mark.parametrize("jobs", [0, -1, 1.5, True])
+def test_run_experiment_refuses_jobs_not_a_positive_integer(monkeypatch, jobs):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr(experiments, "pacf_and_variances", refuse)
+    with pytest.raises(ValueError, match="jobs"):
+        run_experiment(_base_cfg(), jobs=jobs)
+
+
+def test_verification_battery_refuses_jobs_below_one(tmp_path, capsys):
+    battery, _ = _battery()
+    for jobs in ("0", "-1"):
+        with pytest.raises(SystemExit) as exit_info:
+            battery.main(["--quiet", "--jobs", jobs, "--out", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_aggregate_recomputable_from_rows():

@@ -10,8 +10,12 @@ from armle import (
     fgn,
     filter_observations,
     kernel_rows,
+    noise_from_innovations,
     pacf_and_variances,
     run_experiment,
+    sample_noise,
+    simulate_series,
+    validate_kernel,
     white,
 )
 from armle import filtering
@@ -84,6 +88,40 @@ def test_one_walk_per_run_and_per_series(monkeypatch):
         sizes.clear()
     filter_observations(np.linspace(-1.0, 1.0, 80), fgn(0.3), 3)
     assert sizes == [80]
+
+
+@pytest.mark.parametrize("kernel", [white(), ar1(0.5)], ids=lambda k: k.label())
+def test_markov_kernels_never_enter_the_recursion(monkeypatch, kernel):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the O(n**2) recursion ran")
+
+    monkeypatch.setattr(filtering, "_levinson", refuse)
+    pacf_and_variances(kernel, 50)
+    kernel_rows(kernel, 5)
+    filter_observations(np.linspace(-1.0, 1.0, 40), kernel, 2)
+    noise_from_innovations(kernel, np.ones(30))
+    sample_noise(kernel, 30, seed=1)
+    simulate_series((0.5,), kernel, 30, seed=1)
+    validate_kernel(kernel, 50)
+    run_experiment(
+        ExperimentConfig(
+            experiment="consistency", theta=(0.5,), kernel=kernel, sample_sizes=(20, 40),
+            replicates=3, seed=1,
+        )
+    )
+
+
+def test_markov_walk_of_one_step_checks_the_second():
+    # One step reads sigma_1**2 = 1 only, yet the closed form checks 1 - a**2
+    # at every n, as the walk to two steps would.
+    beta, sigma2 = pacf_and_variances(ar1(0.5), 1)
+    assert beta.tolist() == [0.5] and sigma2.tolist() == [1.0]
+    assert noise_from_innovations(ar1(0.5), np.array([2.0])).tolist() == [2.0]
+    near_one = ar1(1 - 1e-13)
+    with pytest.raises(NotPositiveDefinite):
+        pacf_and_variances(near_one, 1)
+    with pytest.raises(NotPositiveDefinite):
+        noise_from_innovations(near_one, np.array([2.0]))
 
 
 @pytest.mark.parametrize("hurst", [0.05, 0.3, 0.7, 0.95])
