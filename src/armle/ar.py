@@ -66,18 +66,16 @@ def fisher_info(theta) -> np.ndarray:
     canonical basis vector, i.e. the Toeplitz matrix of the autocovariances
     gamma(0..p-1).
 
-    Solved directly (Kronecker linear system via the discrete Lyapunov solver)
-    and symmetrized. For p = 1 this is 1 / (1 - theta**2); at theta = 0 it is
-    the identity.
+    Solved directly, as the p**2 linear system (I - A kron A) vec I = vec(b b^T),
+    with numpy alone, and symmetrized. For p = 1 this is 1 / (1 - theta**2); at
+    theta = 0 it is the identity.
     """
-    # Lazy: estimate and test load no scipy.linalg (guard: test_cli::test_lazy_scipy_imports).
-    import scipy.linalg
-
     th = require_stable(theta)
     a = companion(th)
-    b = np.zeros(th.size)
-    b[0] = 1.0
-    info = scipy.linalg.solve_discrete_lyapunov(a, np.outer(b, b))
+    p = th.size
+    rhs = np.zeros(p * p)
+    rhs[0] = 1.0
+    info = np.linalg.solve(np.eye(p * p) - np.kron(a, a), rhs).reshape(p, p)
     return 0.5 * (info + info.T)
 
 

@@ -65,7 +65,9 @@ import numpy as np
 from . import rng
 from .ar import fisher_info, fisher_info_inverse, require_stable
 from .filtering import pacf_and_variances
-from .inference import _lan_remainder, _local_alternative, _lr_statistic, _quad, _solve_gram
+from .inference import (
+    _chi2_isf, _lan_remainder, _local_alternative, _lr_statistic, _quad, _solve_gram,
+)
 from .noise import CovarianceKernel, kernel_from_json
 from .rng import _integer, _real
 from .state import _gram_moment, _simulated_path
@@ -340,10 +342,8 @@ def _cols_clt(cfg: ExperimentConfig, sizes, gram, theta_hat, solved):
 
 
 def _cols_test(cfg: ExperimentConfig, sizes, gram, theta_hat, solved):
-    from scipy.special import chdtri  # lazy (guard: test_cli::test_lazy_scipy_imports)
-
     stat = _lr_statistic(theta_hat - cfg.theta, gram)
-    reject = (stat >= chdtri(cfg.p, cfg.alpha)).astype(int)
+    reject = (stat >= _chi2_isf(cfg.p, cfg.alpha)).astype(int)
     return solved, {"statistic": stat, "reject": reject}
 
 
@@ -503,14 +503,14 @@ def _agg_lan_remainder(cfg, good):
 
 
 def _agg_test(cfg, good):
-    from scipy.special import chdtri, chndtr
+    from scipy.special import chndtr
 
-    crit = float(chdtri(cfg.p, cfg.alpha))
+    crit = _chi2_isf(cfg.p, cfg.alpha)
     per_n = _per_n(
         good, "reject", rejection_rate=np.mean,
         rate_stderr=lambda v: math.sqrt(max(np.mean(v) * (1.0 - np.mean(v)), 0.0) / v.size),
     )
-    summary = {"alpha": cfg.alpha, "critical": float(crit)}
+    summary = {"alpha": cfg.alpha, "critical": crit}
     if cfg.experiment == "test_power":
         u = np.array(cfg.shift)
         lam = float(_quad(u, fisher_info(cfg.theta), u))

@@ -5,8 +5,10 @@ normal equations gram @ theta = moment, the likelihood-ratio statistic equals
 the quadratic form d^T gram d with d = theta_hat - theta_0 (and so
 score^T gram^{-1} score), and the expansion of
 log L(theta_0 + u/sqrt(n)) - log L(theta_0) in u is an algebraic identity with
-empirical curvature gram/n. Critical values come from the chi-square
-distribution with p degrees of freedom.
+empirical curvature gram/n. Critical values and p-values come from the
+chi-square distribution with p degrees of freedom, whose tail at integer p is a
+finite sum of exp/erfc terms; it and its quantile are computed here with the
+standard library alone, so a test loads no scipy.
 
 The local alternative theta_0 + u/sqrt(n), the statistic max(d^T gram d, 0)
 and the LAN remainder -<u, (gram/n - I(theta_0)) u>/2 are defined here once,
@@ -143,24 +145,95 @@ class TestResult:
     theta0: np.ndarray
 
 
+def _log_term(a: float, y: float) -> float:
+    """log(y^a e^-y / Gamma(a + 1)) for y > 0."""
+    return a * math.log(y) - math.lgamma(a + 1.0) - y
+
+
+def _log_erfc(y: float) -> float:
+    """log erfc(sqrt(y)) for y > 0; from y = 700, where erfc nears underflow,
+    nine terms of its asymptotic series, which there are exact to rounding."""
+    if y < 700.0:
+        return math.log(math.erfc(math.sqrt(y)))
+    s = term = 1.0
+    for k in range(1, 10):
+        term *= (0.5 - k) / y
+        s += term
+    return math.log(s) - y - 0.5 * math.log(math.pi * y)
+
+
+def _chi2_logsf(p: int, x: float) -> float:
+    """log P(chi2_p > x) for integer p >= 1, finite for every finite x.
+
+    At y = x/2 the tail is (Abramowitz & Stegun 26.4.4-5) the sum of the
+    terms y^a e^-y / Gamma(a + 1) for a = p/2 - 1, p/2 - 2, ... down to 0 or
+    1/2, plus erfc(sqrt(y)) when p is odd. The terms are summed from their logs.
+    """
+    y = 0.5 * x
+    if y <= 0.0:
+        return 0.0
+    if y == math.inf:
+        return -math.inf
+    logs = [_log_term(0.5 * p - 1.0 - i, y) for i in range(p // 2)]
+    if p % 2:
+        logs.append(_log_erfc(y))
+    top = max(logs)
+    return top + math.log(math.fsum(math.exp(t - top) for t in logs))
+
+
+def _chi2_sf(p: int, x: float) -> float:
+    """P(chi2_p > x), the p-value of a statistic x."""
+    return math.exp(_chi2_logsf(p, x))
+
+
+def _chi2_isf(p: int, alpha: float) -> float:
+    """The x with P(chi2_p > x) = alpha, for integer p >= 1 and 0 < alpha < 1.
+
+    Newton's method on log P(chi2_p > x) = log(alpha), whose derivative is
+    minus the hazard pdf/sf, kept inside a bracket of the root, until the two
+    sides agree within 1e-15 (1 + |log alpha|); every alpha down to the least
+    subnormal gives a finite x. Above alpha = 1/2 it starts from the lower
+    bound (Gamma(p/2 + 1) (1 - alpha))^(2/p) of y = x/2, which is also as
+    near as the tail's rounding can tell when 1 - alpha nears 1e-16.
+    """
+    a = 0.5 * p
+    log_alpha = math.log(alpha)
+    if alpha > 0.5:
+        x = 2.0 * math.exp((math.log1p(-alpha) + math.lgamma(a + 1.0)) / a)
+    else:
+        x = max(float(p), -2.0 * log_alpha)
+    lo, hi = 0.0, math.inf
+    for _ in range(64):
+        logsf = _chi2_logsf(p, x)
+        gap = logsf - log_alpha
+        if abs(gap) <= 1e-15 * (1.0 - log_alpha):
+            break
+        if gap > 0.0:
+            lo = x
+        else:
+            hi = x
+        new = x + 2.0 * gap * math.exp(logsf - _log_term(a - 1.0, 0.5 * x))
+        if not lo < new < hi:  # bisect the bracket, or double x until it closes
+            new = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
+        x = new
+    return x
+
+
 def lr_test(path: FilteredPath, theta0, alpha: float) -> TestResult:
     """Likelihood-ratio test of theta = theta0 at level ``alpha``.
 
     Rejects when the statistic reaches the upper-alpha chi-square quantile
     with p degrees of freedom.
     """
-    # Lazy: `import armle` loads no scipy (guard: test_cli::test_lazy_scipy_imports).
-    from scipy.special import chdtrc, chdtri
-
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     stat, th0, est = _lr(path, theta0)
-    crit = float(chdtri(th0.size, alpha))
+    crit = _chi2_isf(th0.size, alpha)
     return TestResult(
         statistic=stat,
         critical=crit,
         alpha=float(alpha),
-        pvalue=float(chdtrc(th0.size, stat)),
+        pvalue=_chi2_sf(th0.size, stat),
         reject=bool(stat >= crit),
         theta_hat=est.theta_hat,
         theta0=th0,

@@ -239,6 +239,16 @@ def test_test_far_null_rejects_with_exit_zero(tmp_path, capsys):
     assert doc["critical"] == pytest.approx(3.8414588206941285, abs=1e-9)
 
 
+def test_test_at_the_least_subnormal_level(tmp_path, capsys):
+    path = _simulate_file(tmp_path, "x.csv", (0.3, 0.1, 0.0), WHITE_KERNEL, 200, 4)
+    argv = ["test", "--in", str(path), "--kernel", WHITE_KERNEL, "--theta0", "0.3,0.1,0",
+            "--alpha", "5e-324"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["critical"] == pytest.approx(1495.7402734591207, rel=1e-15)
+    assert doc["reject"] is False
+
+
 def test_lan_identity_via_cli(tmp_path, capsys):
     path = _simulate_file(tmp_path, "x.csv", (0.3,), AR1_KERNEL, 200, 8)
     assert (
@@ -759,8 +769,9 @@ def _loaded_after(code: str) -> set[str]:
 def test_lazy_scipy_imports(tmp_path):
     """Each command, in a fresh interpreter, loads only the scipy it calls.
     `import armle` and `import armle.cli` load no scipy and no process pool;
-    estimate, filter and validate-kernel load no scipy; test loads scipy.special
-    but not scipy.linalg; no command loads scipy.signal or scipy.stats; and
+    estimate, test, lan, filter and validate-kernel load no scipy (the
+    chi-square tail and quantile and the information matrix need numpy and
+    math alone); no command loads scipy.signal or scipy.stats; and
     `experiment --jobs 1` starts no pool. apply_ar and the test experiments leave
     scipy.signal and scipy.stats unloaded; the clt aggregate imports scipy.stats
     on first use."""
@@ -793,9 +804,8 @@ def test_lazy_scipy_imports(tmp_path):
              for name, mods in loaded.items()}
     for name in ("import armle", "import armle.cli"):
         assert loaded[name] == set(), (name, loaded[name])
-    for name in ("estimate white", "estimate fgn", "filter", "validate-kernel"):
+    for name in ("estimate white", "estimate fgn", "test", "lan", "filter", "validate-kernel"):
         assert scipy[name] == set(), (name, scipy[name])
-    assert "scipy.special" in scipy["test"] and "scipy.linalg" not in scipy["test"]
     for name, packages in scipy.items():
         assert not packages & {"scipy.signal", "scipy.stats"}, (name, packages)
     pool = "concurrent.futures.process"

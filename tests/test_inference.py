@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,9 @@ from armle import (
     mle,
     white,
 )
-from armle.inference import GRAM_CONDITION_CAP, _solve_gram
+from armle.inference import (
+    GRAM_CONDITION_CAP, _chi2_isf, _chi2_logsf, _chi2_sf, _solve_gram,
+)
 
 from _oracles import ols_ar, random_stable_theta
 
@@ -175,6 +178,72 @@ def test_chi2_quantile_inverse_property(p, alpha, shift):
     )
     if not math.isclose(res.statistic, res.critical, rel_tol=1e-9):
         assert res.reject == (res.pvalue <= alpha)
+
+
+EPS = 2.0**-52
+#: Levels from 1e-12 to 0.999, the range of a test's level in practice.
+LEVELS = [10.0**k for k in range(-12, 0)] + [0.05, 0.2, 0.5, 0.8, 0.95, 0.99, 0.999]
+
+
+def test_chi2_closed_form_identities():
+    # p = 2: the tail is exp(-x/2) and the quantile -2 log(alpha). p = 1: the
+    # tail is erfc(sqrt(x/2)), through log space, so to a few ulp of log sf.
+    for x in [0.0, 1e-300, 1e-9, 0.3, 1.0, 3.84, 10.0, 100.0, 700.0, 1400.0]:
+        assert _chi2_sf(2, x) == pytest.approx(math.exp(-x / 2), rel=1e-15, abs=0.0)
+        ref = math.erfc(math.sqrt(x / 2))
+        assert _chi2_sf(1, x) == pytest.approx(ref, rel=2 * EPS * (1.0 + x), abs=0.0)
+    for alpha in LEVELS + [1e-300, 5e-324]:
+        assert _chi2_isf(2, alpha) == pytest.approx(-2.0 * math.log(alpha), rel=1e-15)
+
+
+def test_chi2_closed_form_matches_scipy():
+    xs = np.concatenate([np.linspace(0.0, 1400.0, 701), np.geomspace(1e-12, 1400.0, 60)])
+    for p in range(1, 11):
+        for x in xs:
+            ref = scipy.special.chdtrc(p, x)
+            assert _chi2_sf(p, float(x)) == pytest.approx(ref, rel=1e-12, abs=0.0), (p, x)
+        for alpha in LEVELS:
+            ref = scipy.special.chdtri(p, alpha)
+            assert _chi2_isf(p, alpha) == pytest.approx(ref, rel=1e-12, abs=0.0), (p, alpha)
+
+
+def test_chi2_quantile_round_trip():
+    for p in range(1, 11):
+        for alpha in LEVELS:
+            assert _chi2_sf(p, _chi2_isf(p, alpha)) == pytest.approx(alpha, rel=1e-13, abs=0.0)
+        # Far out, exp alone turns the rounding of log sf into a relative
+        # error of about |log alpha| ulp, so the round trip is read in log
+        # space, where the quantile stops within 1e-15 (1 + |log alpha|).
+        for alpha in LEVELS + [1e-100, 1e-300, 5e-324]:
+            log_alpha = math.log(alpha)
+            gap = _chi2_logsf(p, _chi2_isf(p, alpha)) - log_alpha
+            assert abs(gap) <= 1e-15 * (1.0 - log_alpha), (p, alpha)
+
+
+def test_chi2_closed_form_edges():
+    for p in range(1, 11):
+        assert _chi2_sf(p, 0.0) == 1.0
+        assert _chi2_sf(p, 1e6) == 0.0 and _chi2_sf(p, math.inf) == 0.0
+        for alpha in (5e-324, 1e-300):
+            crit = _chi2_isf(p, alpha)
+            assert math.isfinite(crit) and crit > _chi2_isf(p, 1e-12)
+        # Next to 1 the level is set by the tail's rounding near 1.
+        alpha = 1.0 - 1e-16
+        crit = _chi2_isf(p, alpha)
+        assert math.isfinite(crit) and crit >= 0.0
+        assert _chi2_sf(p, crit) == pytest.approx(alpha, rel=0.0, abs=4 * EPS)
+    # The least subnormal level: the root of log sf = log(2**-1074), to 50 digits
+    # 1495.7402734591207086 at p = 3.
+    assert _chi2_isf(3, 5e-324) == pytest.approx(1495.7402734591207086, rel=1e-15)
+    # A far-tail p-value, well inside the double range, as scipy gives it.
+    assert _chi2_sf(1, 519.41) == pytest.approx(5.6872764843993305e-115, rel=1e-12)
+
+
+def test_chi2_quantile_is_the_harness_critical_value():
+    path, _ = _fit(white(), (0.3, 0.1, 0.0), 200, seed=1)
+    crit = lr_test(path, (0.3, 0.1, 0.0), 0.01).critical
+    assert crit == _chi2_isf(3, 0.01)
+    assert _predicted_power(3, 0.01, (1.0, 0.0, 0.0))["critical"] == crit
 
 
 def _predicted_power(p, alpha, shift):
