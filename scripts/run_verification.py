@@ -107,7 +107,7 @@ def main(argv=None) -> int:
     all_passed = True
     t0 = time.perf_counter()
     for path in paths:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             cfg = ExperimentConfig.from_json_dict(json.load(fh))
         report = run_experiment(cfg, jobs=args.jobs, progress=progress)
         report.write(args.out / path.stem)

@@ -5,12 +5,12 @@ validate-kernel.  Tabular output is UTF-8 CSV with a header row and `.`
 decimals; structured output is JSON with full double-precision round-trip
 numbers and no NaN (non-finite results are an error instead).
 
-Exit codes: 0 success, 2 usage, 3 data or format error, 4 numeric
-degeneracy (unstable parameters, singular Gram, filter breakdown).  The
-outcome of a hypothesis test never affects the exit code.  Every run echoes
-its arguments to stderr as JSON, options left unset omitted and the
-``experiment`` config file resolved to its full config; set ARMLE_QUIET=1 to
-suppress the echo and progress lines.
+Exit codes: 0 success, 2 usage, 3 data or format error (a size numpy cannot
+allocate included), 4 numeric degeneracy (unstable parameters, singular Gram,
+filter breakdown).  The outcome of a hypothesis test never affects the exit
+code.  Every run echoes its arguments to stderr as JSON, options left unset
+omitted and the ``experiment`` config file resolved to its full config; set
+ARMLE_QUIET=1 to suppress the echo and progress lines.
 """
 from __future__ import annotations
 
@@ -172,8 +172,6 @@ def _read_series(path: str) -> np.ndarray:
 
 
 def _cmd_simulate(args) -> int:
-    if args.p is not None and args.p != len(args.theta):
-        raise _CliError(2, f"--p {args.p} does not match --theta of length {len(args.theta)}")
     _echo_config(args)
     x = simulate_series(args.theta, args.kernel, args.n, args.seed)
     rows = (f"{t},{v!r}\n" for t, v in enumerate(x.tolist(), start=1))
@@ -192,67 +190,37 @@ def _cmd_filter(args) -> int:
     return 0
 
 
-def _cmd_estimate(args) -> int:
+def _series_path(args, p: int):
+    """Echo the arguments, read ``--in`` and filter it for an AR(p) fit."""
     _echo_config(args)
-    x = _read_series(args.input)
-    path = filter_observations(x, args.kernel, args.p)
+    return filter_observations(_read_series(args.input), args.kernel, p)
+
+
+def _cmd_estimate(args) -> int:
+    path = _series_path(args, args.p)
     result = mle(path)
-    out = {
-        "theta_hat": [float(v) for v in result.theta_hat],
-        "stderr": [float(v) for v in result.stderr],
-        "gram_over_n": [[float(v) for v in row] for row in result.gram_over_n],
-        "cond": float(result.cond),
-        "n": result.n,
-        "p": result.p,
-        "log_likelihood": float(log_likelihood(path, result.theta_hat)),
-    }
-    _emit_json(out, args.out)
+    fields = ("theta_hat", "stderr", "gram_over_n", "cond", "n", "p")
+    out = {name: getattr(result, name) for name in fields}
+    _emit_json(out | {"log_likelihood": log_likelihood(path, result.theta_hat)}, args.out)
     return 0
 
 
 def _cmd_test(args) -> int:
-    if args.p is not None and args.p != len(args.theta0):
-        raise _CliError(
-            2, f"--p {args.p} does not match --theta0 of length {len(args.theta0)}"
-        )
-    _echo_config(args)
-    x = _read_series(args.input)
-    path = filter_observations(x, args.kernel, len(args.theta0))
+    path = _series_path(args, len(args.theta0))
     result = lr_test(path, args.theta0, args.alpha)
-    out = {
-        "statistic": float(result.statistic),
-        "critical": float(result.critical),
-        "alpha": float(result.alpha),
-        "pvalue": float(result.pvalue),
-        "reject": bool(result.reject),
-        "theta_hat": [float(v) for v in result.theta_hat],
-        "theta0": [float(v) for v in result.theta0],
-        "n": path.n,
-        "p": path.p,
-    }
-    _emit_json(out, args.out)
+    _emit_json(vars(result) | {"n": path.n, "p": path.p}, args.out)
     return 0
 
 
 def _cmd_lan(args) -> int:
     if len(args.u) != len(args.theta0):
-        raise _CliError(
-            2,
-            f"--u has length {len(args.u)} but --theta0 has length {len(args.theta0)}",
-        )
-    _echo_config(args)
-    x = _read_series(args.input)
-    path = filter_observations(x, args.kernel, len(args.theta0))
-    score_term, info_term, remainder = lan_decomposition(path, args.theta0, args.u)
-    out = {
-        "score_term": float(score_term),
-        "info_term": float(info_term),
-        "remainder": float(remainder),
-        "delta_loglik": float(score_term + info_term + remainder),
-        "theta0": list(args.theta0),
-        "u": list(args.u),
-        "n": path.n,
-        "p": path.p,
+        raise _CliError(2, f"--u has length {len(args.u)} but --theta0 has length "
+                           f"{len(args.theta0)}")
+    path = _series_path(args, len(args.theta0))
+    terms = lan_decomposition(path, args.theta0, args.u)
+    out = dict(zip(("score_term", "info_term", "remainder"), terms)) | {
+        "delta_loglik": terms[0] + terms[1] + terms[2],
+        "theta0": args.theta0, "u": args.u, "n": path.n, "p": path.p,
     }
     _emit_json(out, args.out)
     return 0
@@ -260,7 +228,7 @@ def _cmd_lan(args) -> int:
 
 def _cmd_experiment(args) -> int:
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8-sig") as fh:
             obj = json.load(fh)
     except OSError as exc:
         raise _CliError(3, f"cannot read {args.config!r}: {exc}") from exc
@@ -311,8 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="simulate an AR(p) series")
     sim.add_argument("--theta", type=_vector_arg, required=True,
                      help="AR coefficients, comma-separated")
-    sim.add_argument("--p", type=_int_at_least(1), default=None,
-                     help="order check; must equal the length of --theta")
     sim.add_argument("--kernel", type=_kernel_arg, required=True, help=kernel_help)
     sim.add_argument("--n", type=_int_at_least(1), required=True,
                      help="sample size (runtime grows as n^2 for fgn noise, as n for "
@@ -336,8 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     tst = sub.add_parser("test", help="likelihood-ratio test of theta = theta0")
     tst.add_argument("--in", dest="input", required=True, help="input CSV with column x")
-    tst.add_argument("--p", type=_int_at_least(1), default=None,
-                     help="order check; must equal the length of --theta0")
     tst.add_argument("--kernel", type=_kernel_arg, required=True, help=kernel_help)
     tst.add_argument("--theta0", type=_vector_arg, required=True,
                      help="null hypothesis coefficients, comma-separated")
@@ -393,6 +357,9 @@ def main(argv=None) -> int:
         return 3
     except ValueError as exc:
         print(f"armle: data error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"armle: cannot allocate: {exc}", file=sys.stderr)
         return 3
 
 

@@ -226,8 +226,15 @@ class ExperimentReport:
 
 
 def _json_text(obj) -> str:
-    """Indented JSON with sorted keys and a trailing newline; NaN raises ValueError."""
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """Indented JSON with sorted keys, arrays as lists and a trailing newline; a
+    non-finite number raises ValueError, an object other than an array TypeError."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False, default=_tolist) + "\n"
+
+
+def _tolist(obj) -> list:
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _fmt_cell(v) -> str:

@@ -61,8 +61,8 @@ def _levinson(kernel: CovarianceKernel, n: int, x=None, eps=None):
     whitened series z_m = sum_{i<=m} k(m, i) x_i; given ``eps``, it is the path
     xi_m = sigma_m * eps_m - sum_{i<m} k(m, i) xi_i; otherwise None.
     """
+    beta, sigma2 = np.empty(n - 1), np.empty(n)  # first: a size too large fails at once
     r = np.array([_covariance(kernel, k) for k in range(1, n)])
-    beta, sigma2 = np.empty(n - 1), np.empty(n)
     out = None if x is None and eps is None else np.empty(n)
     row, spare = np.empty((2, n))
     s2 = 1.0

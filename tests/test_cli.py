@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import subprocess
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 import armle
+from armle import cli
 from armle.cli import main
 
 AR1_KERNEL = '{"family": "ar1", "params": {"a": 0.5}}'
@@ -402,22 +404,6 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         )
         == 2
     )
-    assert (
-        main(
-            [
-                "simulate",
-                "--theta",
-                "0.5",
-                "--p",
-                "2",
-                "--kernel",
-                WHITE_KERNEL,
-                "--n",
-                "5",
-            ]
-        )
-        == 2
-    )
     negative_seed = ["--n", "5", "--seed", "-1"]
     assert main(["simulate", "--theta", "0.5", "--kernel", WHITE_KERNEL] + negative_seed) == 2
     capsys.readouterr()
@@ -633,6 +619,54 @@ def test_experiment_filter_breakdown_exits_4(tmp_path, capsys, monkeypatch):
         assert error.startswith(f"armle: error: {str(cfg)!r}: ")
         assert "at step 2" in error
         assert not out_dir.exists()
+
+
+def test_experiment_config_with_byte_order_mark(tmp_path, capsys):
+    # A config saved with a UTF-8 byte-order mark runs as the config without.
+    plain = _experiment_config(tmp_path)
+    marked = tmp_path / "marked.json"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for cfg in (plain, marked):
+        out_dir = tmp_path / cfg.stem
+        assert main(["experiment", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
+    for name in ("raw.csv", "curves.csv"):
+        assert (tmp_path / "marked" / name).read_bytes() == (tmp_path / "config" / name).read_bytes()
+    capsys.readouterr()
+
+
+def test_unallocatable_size_exits_3(tmp_path, capsys, monkeypatch):
+    # At 10**15 steps numpy refuses the first array at once, so nothing is
+    # allocated; fGn's walk asks for its arrays before any covariance.
+    def no_covariance(*args):
+        raise AssertionError("a covariance was evaluated")
+
+    monkeypatch.setattr("armle.filtering._covariance", no_covariance)
+    fgn_kernel = '{"family": "fgn", "params": {"H": 0.7}}'
+    cfg = _experiment_config(tmp_path, sample_sizes=[150, 10**15])
+    for argv in (
+        *(["filter", "--kernel", kernel, "--n", str(10**15)]
+          for kernel in (WHITE_KERNEL, AR1_KERNEL, fgn_kernel)),
+        ["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "out")],
+    ):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("armle: cannot allocate: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_result_exits_4(tmp_path, capsys, monkeypatch):
+    path = _simulate_file(tmp_path, "x.csv", (0.3,), WHITE_KERNEL, 50, 1)
+    lr_test = cli.lr_test
+
+    def infinite_estimate(*args):
+        return dataclasses.replace(lr_test(*args), theta_hat=np.array([math.inf]))
+
+    monkeypatch.setattr(cli, "lr_test", infinite_estimate)
+    out = tmp_path / "t.json"
+    argv = ["test", "--in", str(path), "--kernel", WHITE_KERNEL, "--theta0", "0.3"]
+    assert main(argv + ["--out", str(out)]) == 4
+    assert "refusing to emit non-finite numbers" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _echo(capsys) -> dict:

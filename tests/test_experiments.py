@@ -660,6 +660,17 @@ def test_non_finite_report_writes_nothing(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_json_text_lists_arrays_and_refuses_the_rest():
+    text = experiments._json_text({"b": np.array([[0.1, -2.0]]), "a": np.array([3])})
+    assert json.loads(text) == {"a": [3], "b": [[0.1, -2.0]]}
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            experiments._json_text({"x": np.array([0.0, bad])})
+    for other in (object(), {1.0}, np.int64(1)):
+        with pytest.raises(TypeError):
+            experiments._json_text({"x": other})
+
+
 def test_report_files_round_trip(tmp_path):
     cfg = _base_cfg(experiment="clt", sample_sizes=(150, 300), replicates=6)
     report = run_experiment(cfg)
@@ -776,3 +787,17 @@ def test_verification_battery_prints_missing_headlines(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "log-log slope n/a" in out
     assert "covariance rel error n/a" in out
+
+
+def test_verification_battery_reads_a_byte_order_mark(tmp_path):
+    # A config saved with a UTF-8 byte-order mark runs as the config without.
+    battery, _ = _battery()
+    text = json.dumps(_base_cfg(replicates=3).to_json_dict()).encode()
+    for name, data in (("plain", text), ("marked", b"\xef\xbb\xbf" + text)):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "tiny.json").write_bytes(data)
+        argv = ["--quiet", "--configs", str(tmp_path / name), "--out", str(tmp_path / f"{name}_out")]
+        assert battery.main(argv) == 0
+    for f in ("raw.csv", "curves.csv"):
+        marked, plain = (tmp_path / f"{name}_out" / "tiny" / f for name in ("marked", "plain"))
+        assert marked.read_bytes() == plain.read_bytes()
